@@ -13,9 +13,12 @@
 //! * **Session lifecycle (`admit → run → retire`)** — a student exists as
 //!   a compact [`SessionSpec`] (index + derived seed) until a worker
 //!   admits it through the [`Campus::max_concurrent`] admission window,
-//!   builds its `MitsSystem`, runs the fetches, and retires it. Retiring
-//!   folds the session's digest, metrics snapshot and (if sampled) trace
-//!   into per-batch accumulators and frees the whole per-student world.
+//!   builds its `MitsSystem` over a fork of its lesson's published
+//!   courseware image (each lesson is published once per run, by the
+//!   first session that opens it), runs the fetches, and retires it.
+//!   Retiring folds the session's digest, metrics snapshot and (if
+//!   sampled) trace into per-batch accumulators and frees the whole
+//!   per-student world.
 //! * **Work-stealing batch queue** — student indices are grouped into
 //!   contiguous batches; each worker starts with its own span of batches
 //!   and steals from the most-loaded peer when it runs dry, so a straggler
@@ -43,19 +46,22 @@
 //! failed-over / slow / failed sessions), and the merged snapshot is
 //! judged against declarative SLOs ([`default_campus_slos`]).
 
-use crate::system::{ClientId, MitsSystem, SessionScratch, SystemConfig, SystemError};
+use crate::system::{
+    ClientId, CoursewareImage, MitsSystem, SessionScratch, SystemConfig, SystemError,
+};
 use bytes::Bytes;
 use mits_db::{RetryPolicy, ShardRouter};
 use mits_media::{MediaFormat, MediaId, MediaObject, VideoDims};
 use mits_mheg::{ClassLibrary, GenericValue, MhegId, MhegObject};
 use mits_sim::{
-    derive_seed, forensics, DigestTrace, Exemplar, FaultWindow, ForensicBundle, ForensicInput,
-    Histogram, MetricsSnapshot, ReplayBundle, SampleReason, SessionTail, SimDuration, SimTime, Slo,
-    SloInput, SloReport, TailSignals, Timeline, TimelineRecorder, TraceSampler,
+    derive_seed, fnv1a, forensics, DigestTrace, Exemplar, FaultWindow, ForensicBundle,
+    ForensicInput, Histogram, MetricsSnapshot, ReplayBundle, SampleReason, SessionTail,
+    SimDuration, SimTime, Slo, SloInput, SloReport, TailSignals, Timeline, TimelineRecorder,
+    TraceSampler, FNV_OFFSET,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Histogram geometry for per-session simulated time, shared by every
@@ -620,16 +626,6 @@ pub fn edge_cache_slos(min_hit_rate: f64) -> Vec<Slo> {
     ]
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-fn fnv_fold(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 /// Per-student `SystemConfig` hook (see [`Campus::configure_sessions`]).
 type SessionConfigFn = dyn Fn(&SessionSpec, SystemConfig) -> SystemConfig + Send + Sync;
 
@@ -838,6 +834,7 @@ impl Campus {
         let tl_window = self.timeline_window;
         let start = Instant::now();
 
+        let images = Images::new(&self.workloads);
         let queue = BatchQueue::new(n_batches, workers);
         let window = AdmissionWindow::new(max_concurrent);
         let merge = Mutex::new(MergeState::new(sink, tl_window));
@@ -866,17 +863,25 @@ impl Campus {
                         None => base,
                     };
                     // admit: wait for an admission slot, then build the
-                    // session's world (reusing this worker's scratch).
+                    // session's world (reusing this worker's scratch) over
+                    // a fork of its lesson's published image.
                     window.admit();
-                    let ran = run_session(
-                        &self.workloads[student % self.workloads.len()],
-                        &sampler,
-                        &spec,
-                        &config,
-                        tl_window,
-                        std::mem::take(&mut scratch),
-                        None,
-                    );
+                    let workload = student % self.workloads.len();
+                    let ran = images.get(workload, &config).and_then(|image| {
+                        let lesson = Lesson {
+                            workload: &self.workloads[workload],
+                            image: &image,
+                        };
+                        run_session(
+                            lesson,
+                            &sampler,
+                            &spec,
+                            &config,
+                            tl_window,
+                            std::mem::take(&mut scratch),
+                            None,
+                        )
+                    });
                     // retire: the session's world is already torn down
                     // (its allocations harvested into `scratch`); free
                     // the admission slot and fold the outcome.
@@ -1045,8 +1050,15 @@ impl Campus {
             }
             profile_top = mits_sim::profile_tracer(&sys.tracer).render_top(10);
         };
+        let workload = &self.workloads[bundle.workload % self.workloads.len()];
+        let image =
+            MitsSystem::publish_image(&config, &workload.objects, &workload.media, workload.root)?;
+        let lesson = Lesson {
+            workload,
+            image: &image,
+        };
         let (outcome, _) = run_session(
-            &self.workloads[bundle.workload % self.workloads.len()],
+            lesson,
             &sampler,
             &spec,
             &config,
@@ -1229,7 +1241,7 @@ impl<'a> MergeState<'a> {
         self.parked.insert(batch, out);
         while let Some(out) = self.parked.remove(&self.next) {
             for s in &out.sessions {
-                self.digest = fnv_fold(self.digest, s.digest);
+                self.digest = fnv1a(self.digest, &s.digest.to_le_bytes());
                 self.bytes += s.bytes;
                 self.failed += u64::from(s.failed);
                 self.degraded += u64::from(s.anomalous);
@@ -1330,14 +1342,64 @@ impl AdmissionWindow {
     }
 }
 
-/// Run one student's whole session: fetch the courseware closure, then
-/// fetch every media object (cold cache — each session is a fresh seat).
-/// A mid-session failure (deadline expired, server gone for good) does
-/// *not* abort the campus: the session retires with `failed` set, its
-/// partial observables folded under [`SESSION_FAILED_MARK`]. Only a
-/// build failure — a broken config — is fatal.
+/// Slot key: workload index and store layout (shards, replica).
+type ImageKey = (usize, usize, bool);
+
+/// The published courseware images of one campus run: one per workload
+/// and store layout, built the first time a session of that workload is
+/// admitted and dropped when the run ends. Building lazily keeps a short
+/// campus from publishing lessons nobody opens.
+struct Images<'a> {
+    workloads: &'a [CampusWorkload],
+    /// The map lock is held only to find a slot; a slot's image is built
+    /// outside it, so workers build different images concurrently and
+    /// wait only for the one they need.
+    slots: Mutex<BTreeMap<ImageKey, Arc<OnceLock<ImageResult>>>>,
+}
+
+type ImageResult = Result<Arc<CoursewareImage>, SystemError>;
+
+impl<'a> Images<'a> {
+    fn new(workloads: &'a [CampusWorkload]) -> Self {
+        Images {
+            workloads,
+            slots: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// The image of `workloads[index]` in `config`'s store layout.
+    fn get(&self, index: usize, config: &SystemConfig) -> ImageResult {
+        let slot = self
+            .slots
+            .lock()
+            .expect("campus images")
+            .entry((index, config.shards, config.replica))
+            .or_default()
+            .clone();
+        slot.get_or_init(|| {
+            let w = &self.workloads[index];
+            MitsSystem::publish_image(config, &w.objects, &w.media, w.root).map(Arc::new)
+        })
+        .clone()
+    }
+}
+
+/// The courseware a session fetches, and the published image of it the
+/// session's servers are forked from.
+struct Lesson<'a> {
+    workload: &'a CampusWorkload,
+    image: &'a CoursewareImage,
+}
+
+/// Run one student's whole session over a fork of its lesson's image:
+/// fetch the courseware closure, then fetch every media object (cold
+/// cache — each session is a fresh seat). A mid-session failure
+/// (deadline expired, server gone for good) does *not* abort the campus:
+/// the session retires with `failed` set, its partial observables folded
+/// under [`SESSION_FAILED_MARK`]. Only a build failure — a broken config
+/// — is fatal.
 fn run_session(
-    workload: &CampusWorkload,
+    lesson: Lesson<'_>,
     sampler: &TraceSampler,
     spec: &SessionSpec,
     config: &SystemConfig,
@@ -1349,7 +1411,8 @@ fn run_session(
 ) -> Result<(SessionOutcome, SessionScratch), SystemError> {
     let start = Instant::now();
     let mut sys = MitsSystem::build_with_scratch(config, scratch)?;
-    sys.load_doc(&workload.objects, &workload.media, workload.root);
+    sys.install_image(lesson.image)?;
+    let workload = lesson.workload;
     let student_id = ClientId(0);
 
     // Root span over the whole session: every request span nests under
@@ -1363,14 +1426,14 @@ fn run_session(
     // executions of the same session can be diffed layer by layer —
     // the replay faithfulness proof names the first divergent layer.
     let mut layers = DigestTrace::new();
-    let mut digest = fnv_fold(FNV_OFFSET, spec.seed);
+    let mut digest = fnv1a(FNV_OFFSET, &spec.seed.to_le_bytes());
     layers.record("seed", digest);
     let mut session = SimDuration::ZERO;
     let mut error: Option<String> = None;
     match sys.fetch_courseware(student_id, workload.root) {
         Ok((objects, t)) => {
             session = t;
-            digest = fnv_fold(digest, objects.len() as u64);
+            digest = fnv1a(digest, &(objects.len() as u64).to_le_bytes());
             layers.record("courseware", digest);
         }
         Err(e) => error = Some(e.to_string()),
@@ -1380,7 +1443,7 @@ fn run_session(
             match sys.fetch_content(student_id, m.id) {
                 Ok((got, t)) => {
                     session += t;
-                    digest = fnv_fold(digest, got.data.len() as u64);
+                    digest = fnv1a(digest, &(got.data.len() as u64).to_le_bytes());
                     layers.record(format!("media.{i}"), digest);
                 }
                 Err(e) => {
@@ -1392,18 +1455,18 @@ fn run_session(
     }
     let failed = error.is_some();
     if failed {
-        digest = fnv_fold(digest, SESSION_FAILED_MARK);
+        digest = fnv1a(digest, &SESSION_FAILED_MARK.to_le_bytes());
         layers.record("failure", digest);
     }
     let end_at = sys.now();
     sys.tracer.pop_context();
     sys.tracer.end(root, end_at);
     let bytes = sys.bytes_to_client(student_id);
-    digest = fnv_fold(digest, bytes);
+    digest = fnv1a(digest, &bytes.to_le_bytes());
     layers.record("bytes", digest);
-    digest = fnv_fold(digest, session.as_micros());
+    digest = fnv1a(digest, &session.as_micros().to_le_bytes());
     layers.record("session_time", digest);
-    digest = fnv_fold(digest, sys.db().state_digest());
+    digest = fnv1a(digest, &sys.db().state_digest().to_le_bytes());
     layers.record("db_state", digest);
 
     // Telemetry: freeze this session's registry (stamped at the final

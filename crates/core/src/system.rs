@@ -339,6 +339,19 @@ pub struct MitsSystem {
     resp_meta: BTreeMap<(usize, u64), SimTime>,
 }
 
+/// One courseware as every database server of a deployment holds it
+/// right after [`MitsSystem::load_doc`]: stores, keyword index, journal
+/// and cached state digest. Published once by
+/// [`MitsSystem::publish_image`], then forked into any number of sessions
+/// of the same store layout by [`MitsSystem::install_image`]; the image
+/// itself is never written.
+pub struct CoursewareImage {
+    /// `(shards, servers per shard)` the image was published into.
+    layout: (usize, usize),
+    /// Each server's state and the devices holding its journal.
+    servers: Vec<(DbServer, SharedLogDevice, SharedLogDevice)>,
+}
+
 /// Reusable allocation capacity carried from one retired [`MitsSystem`]
 /// to the next one a campus worker admits. Today this is the network's
 /// recycled containers (timer heap, cell slab, delivery buffer, VC and
@@ -534,6 +547,67 @@ impl MitsSystem {
             flight,
             resp_meta: BTreeMap::new(),
         })
+    }
+
+    /// Publish one document into a store laid out like `config`'s (its
+    /// shard count and replica flag; nothing else of `config` is read)
+    /// through [`MitsSystem::load_doc`], and keep the result as an image
+    /// with every server's state digest already computed.
+    pub fn publish_image(
+        config: &SystemConfig,
+        objects: &[MhegObject],
+        media: &[MediaObject],
+        root: MhegId,
+    ) -> Result<CoursewareImage, SystemError> {
+        let layout = SystemConfig {
+            shards: config.shards,
+            replica: config.replica,
+            ..SystemConfig::broadband(0)
+        };
+        let mut sys = MitsSystem::build(&layout)?;
+        sys.load_doc(objects, media, root);
+        Ok(CoursewareImage {
+            layout: (sys.router.shards(), sys.group_size),
+            servers: sys
+                .servers
+                .into_iter()
+                .map(|s| {
+                    s.db.state_digest();
+                    (s.db, s.wal_dev, s.snap_dev)
+                })
+                .collect(),
+        })
+    }
+
+    /// Give every database server a fork of `image`'s state in place of
+    /// its own — what [`MitsSystem::load_doc`] of the image's document
+    /// would have built, at the cost of a few reference counts. The
+    /// server's journal devices read as the image's, so a crashed fork
+    /// recovers the same bytes with the same latency. Per-session
+    /// settings (overload threshold, epoch, shipping) stay this system's.
+    pub fn install_image(&mut self, image: &CoursewareImage) -> Result<(), SystemError> {
+        if image.layout != (self.router.shards(), self.group_size) {
+            return Err(SystemError::Protocol(format!(
+                "image laid out as {:?} (shards, servers per shard), system as {:?}",
+                image.layout,
+                (self.router.shards(), self.group_size)
+            )));
+        }
+        for (node, (db, wal_dev, snap_dev)) in self.servers.iter_mut().zip(&image.servers) {
+            node.wal_dev = wal_dev.fork();
+            node.snap_dev = snap_dev.fork();
+            let mut fork = db.fork(
+                Box::new(node.wal_dev.clone()),
+                Box::new(node.snap_dev.clone()),
+            );
+            if let Some(limit) = node.db.overload_threshold() {
+                fork = fork.with_overload_threshold(limit);
+            }
+            fork.set_epoch(node.db.epoch());
+            fork.set_shipping(node.db.is_shipping());
+            node.db = fork;
+        }
+        Ok(())
     }
 
     /// The primary database server (public for direct loading in benches
@@ -1469,11 +1543,8 @@ impl MitsSystem {
         self.load_shared(&objects, &media);
     }
 
-    /// [`MitsSystem::load_directly`] over borrowed slices: the campus
-    /// runner loads one shared workload into thousands of sessions, so
-    /// cloning happens once per server here instead of once per call at
-    /// every call site.
-    pub fn load_shared(&mut self, objects: &[MhegObject], media: &[MediaObject]) {
+    /// [`MitsSystem::load_directly`] over borrowed slices.
+    fn load_shared(&mut self, objects: &[MhegObject], media: &[MediaObject]) {
         for s in &self.servers {
             s.db.load_objects(objects.iter().cloned());
             s.db.load_media(media.iter().cloned());
@@ -1484,7 +1555,8 @@ impl MitsSystem {
     /// Load one document's closure and media respecting the ring: the
     /// closure lands on the root's shard (both roles, so journals agree
     /// without shipping), each medium on its own id's shard. On a single
-    /// shard this is exactly [`MitsSystem::load_shared`].
+    /// shard every server loads everything, as with
+    /// [`MitsSystem::load_directly`].
     pub fn load_doc(&mut self, objects: &[MhegObject], media: &[MediaObject], root: MhegId) {
         if self.router.shards() <= 1 {
             self.load_shared(objects, media);

@@ -727,6 +727,22 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_put_object_is_an_error_not_an_abort() {
+        let tlv = crate::wal::tests::deeply_nested_object();
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&7u64.to_be_bytes()); // req_id
+        wire.extend_from_slice(&0u64.to_be_bytes()); // trace
+        wire.push(8); // PutObject
+        wire.extend_from_slice(&(tlv.len() as u32).to_be_bytes());
+        wire.extend_from_slice(&tlv);
+        assert!(matches!(
+            Request::decode(&wire),
+            Err(DbError::Malformed(m)) if m.contains("nested")
+        ));
+        assert!(Request::decode_shared(&Bytes::from(wire)).is_err());
+    }
+
+    #[test]
     fn all_requests_round_trip() {
         let reqs = vec![
             Request::ListDocs,

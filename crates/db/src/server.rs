@@ -4,6 +4,11 @@
 //! [`Request`] into a [`Response`] plus a modelled **service time** so the
 //! discrete-event layer can simulate a loaded server (experiment F3.5
 //! sweeps concurrent clients against one server).
+//!
+//! Published state is copy-on-write: [`DbServer::fork`] returns a server
+//! sharing this one's stores, index and device bytes, so one published
+//! courseware image serves every session forked from it. A write to
+//! either side copies what it touches and never reaches the other.
 
 use crate::index::KeywordTree;
 use crate::protocol::{DbError, Request, Response};
@@ -13,8 +18,9 @@ use crate::wal::{self, LogDevice, Wal, WalRecord};
 use bytes::Bytes;
 use mits_media::MediaObject;
 use mits_mheg::{encode_object, MhegId, MhegObject, WireFormat};
-use mits_sim::SimDuration;
+use mits_sim::{fnv1a, SimDuration, FNV_OFFSET};
 use parking_lot::{Mutex, RwLock};
+use std::sync::Arc;
 
 /// Service-time model: fixed per-request CPU plus per-byte storage I/O.
 ///
@@ -50,7 +56,7 @@ pub struct DbServer {
     pub objects: ObjectStore,
     /// Bulk content store.
     pub content: ContentStore,
-    index: RwLock<KeywordTree>,
+    index: RwLock<Arc<KeywordTree>>,
     model: ServiceModel,
     /// Queue depth at or beyond which the server sheds load with
     /// [`DbError::Unavailable`] instead of queuing unboundedly.
@@ -82,6 +88,9 @@ pub struct DbServer {
     wal_bytes_replayed: RwLock<u64>,
     /// Checkpoints taken.
     checkpoints_taken: RwLock<u64>,
+    /// The last [`DbServer::state_digest`], keyed by the object and
+    /// content stores' write counts it was computed at.
+    digest: Mutex<Option<((u64, u64), u64)>>,
 }
 
 impl Default for DbServer {
@@ -96,7 +105,7 @@ impl DbServer {
         DbServer {
             objects: ObjectStore::new(),
             content: ContentStore::new(),
-            index: RwLock::new(KeywordTree::new()),
+            index: RwLock::default(),
             model,
             overload_threshold: None,
             requests_served: RwLock::new(0),
@@ -111,6 +120,40 @@ impl DbServer {
             wal_bytes_journaled: RwLock::new(0),
             wal_bytes_replayed: RwLock::new(0),
             checkpoints_taken: RwLock::new(0),
+            digest: Mutex::new(None),
+        }
+    }
+
+    /// A server sharing this one's published state: object and content
+    /// stores, keyword index, WAL cursor, counters and cached
+    /// [`DbServer::state_digest`]. Nothing is copied until one side
+    /// writes, and a write on either side never reaches the other.
+    ///
+    /// The fork journals to `wal_dev` and checkpoints to `snap_dev`,
+    /// which must hold this server's device bytes —
+    /// [`SharedLogDevice::fork`](crate::SharedLogDevice::fork) of its
+    /// devices shares them without a copy — so recovery from the fork's
+    /// devices replays exactly what recovery from this server's would.
+    /// Process settings are not inherited: the fork starts with no
+    /// overload threshold, epoch 0, shipping off and an empty outbox.
+    pub fn fork(&self, wal_dev: Box<dyn LogDevice>, snap_dev: Box<dyn LogDevice>) -> DbServer {
+        let _gate = self.write_gate.lock();
+        let wal = self.wal.lock().as_ref().map(|w| w.fork(wal_dev));
+        let snap = wal.is_some().then_some(snap_dev);
+        DbServer {
+            objects: self.objects.fork(),
+            content: self.content.fork(),
+            index: RwLock::new(self.index.read().clone()),
+            requests_served: RwLock::new(*self.requests_served.read()),
+            requests_shed: RwLock::new(*self.requests_shed.read()),
+            wal: Mutex::new(wal),
+            snap: Mutex::new(snap),
+            wal_records_journaled: RwLock::new(*self.wal_records_journaled.read()),
+            wal_bytes_journaled: RwLock::new(*self.wal_bytes_journaled.read()),
+            wal_bytes_replayed: RwLock::new(*self.wal_bytes_replayed.read()),
+            checkpoints_taken: RwLock::new(*self.checkpoints_taken.read()),
+            digest: Mutex::new(*self.digest.lock()),
+            ..DbServer::new(self.model)
         }
     }
 
@@ -128,7 +171,11 @@ impl DbServer {
 
     /// Index an object's keywords (called on every PutObject).
     fn index_object(&self, obj: &MhegObject) {
+        if obj.info.keywords.is_empty() {
+            return;
+        }
         let mut index = self.index.write();
+        let index = Arc::make_mut(&mut index);
         for kw in &obj.info.keywords {
             index.insert(kw, obj.id);
         }
@@ -264,7 +311,7 @@ impl DbServer {
                 None => (Response::Err(DbError::NotFound(media.to_string())), 0),
             },
             Request::GetKeywordTree => {
-                let tree = self.index.read().clone();
+                let tree = KeywordTree::clone(&self.index.read());
                 let bytes = tree.len() * 24;
                 (Response::KeywordTree(tree), bytes)
             }
@@ -440,31 +487,22 @@ impl DbServer {
         let mut snap_guard = self.snap.lock();
         let snap = snap_guard.as_mut()?;
 
-        let mut objs: Vec<MhegObject> = Vec::new();
-        self.objects.for_each(|o| objs.push(o.clone()));
-        objs.sort_by_key(|o| o.id);
-        let mut media: Vec<MediaObject> = Vec::new();
-        self.content.for_each(|m| media.push(m.clone()));
-        media.sort_by_key(|m| m.id);
-        let records: Vec<WalRecord> = objs
-            .into_iter()
-            .map(|object| WalRecord::PutObject { object })
-            .chain(
-                media
-                    .into_iter()
-                    .map(|media| WalRecord::PutContent { media }),
-            )
-            .collect();
+        let mut records = Vec::new();
+        self.objects
+            .for_each(|o| records.push(wal::put_object_payload(o)));
+        self.content
+            .for_each(|m| records.push(wal::put_content_payload(m)));
 
+        let record_count = records.len() as u64;
         let through_seq = wal.next_seq();
-        let bytes = snapshot::write_snapshot(through_seq, &records);
+        let bytes = snapshot::snapshot_of(through_seq, records);
         snap.truncate_to(0);
         snap.append(&bytes);
         let truncated_wal_bytes = wal.device_len() as u64;
         wal.truncate();
         *self.checkpoints_taken.write() += 1;
         Some(CheckpointStats {
-            records: records.len() as u64,
+            records: record_count,
             snapshot_bytes: bytes.len() as u64,
             truncated_wal_bytes,
             through_seq,
@@ -474,6 +512,11 @@ impl DbServer {
     /// Queue journaled frames for replication (primary role).
     pub fn set_shipping(&self, on: bool) {
         *self.shipping.lock() = on;
+    }
+
+    /// Whether journaled frames are queued for replication.
+    pub fn is_shipping(&self) -> bool {
+        *self.shipping.lock()
     }
 
     /// Drain the frames awaiting shipment to the replica.
@@ -541,33 +584,33 @@ impl DbServer {
     /// Order-independent digest of the visible store state (objects with
     /// exact versions, media with payloads) — what the crash-recovery
     /// tests compare between a recovered server and a crash-free run.
+    ///
+    /// Cached: the value is kept with the stores' write counts it was
+    /// computed at and recomputed only once either count has moved, so a
+    /// fork of a published image answers without walking the store.
     pub fn state_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, bytes: &[u8]) {
-            for &b in bytes {
-                *h ^= b as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
+        // Counts read before the walk: a write racing the walk moves them
+        // past this stamp, so the entry stored below can never be served
+        // for a state it does not describe.
+        let stamp = (self.objects.writes(), self.content.writes());
+        if let Some((at, digest)) = *self.digest.lock() {
+            if at == stamp {
+                return digest;
             }
         }
-        let mut objs: Vec<MhegObject> = Vec::new();
-        self.objects.for_each(|o| objs.push(o.clone()));
-        objs.sort_by_key(|o| o.id);
-        let mut media: Vec<MediaObject> = Vec::new();
-        self.content.for_each(|m| media.push(m.clone()));
-        media.sort_by_key(|m| m.id);
         let mut h = FNV_OFFSET;
-        for o in &objs {
-            mix(&mut h, &o.id.app.to_be_bytes());
-            mix(&mut h, &o.id.num.to_be_bytes());
-            mix(&mut h, &o.info.version.to_be_bytes());
-            mix(&mut h, &encode_object(o, WireFormat::Tlv));
-        }
-        for m in &media {
-            mix(&mut h, &m.id.0.to_be_bytes());
-            mix(&mut h, m.name.as_bytes());
-            mix(&mut h, &m.data);
-        }
+        self.objects.for_each(|o| {
+            h = fnv1a(h, &o.id.app.to_be_bytes());
+            h = fnv1a(h, &o.id.num.to_be_bytes());
+            h = fnv1a(h, &o.info.version.to_be_bytes());
+            h = fnv1a(h, &encode_object(o, WireFormat::Tlv));
+        });
+        self.content.for_each(|m| {
+            h = fnv1a(h, &m.id.0.to_be_bytes());
+            h = fnv1a(h, m.name.as_bytes());
+            h = fnv1a(h, &m.data);
+        });
+        *self.digest.lock() = Some((stamp, h));
         h
     }
 }

@@ -26,14 +26,19 @@ pub const SNAPSHOT_MAGIC: u32 = 0x4D53_4E50;
 /// Serialize a snapshot holding `records`, folding the log up to (not
 /// including) `through_seq`.
 pub fn write_snapshot(through_seq: u64, records: &[WalRecord]) -> Bytes {
-    let mut out = BytesMut::with_capacity(12 + records.len() * 64);
+    snapshot_of(through_seq, records.iter().map(WalRecord::encode))
+}
+
+/// [`write_snapshot`] over already-encoded record payloads.
+pub(crate) fn snapshot_of(through_seq: u64, payloads: impl IntoIterator<Item = Bytes>) -> Bytes {
+    let mut out = BytesMut::with_capacity(4096);
     out.put_u32(SNAPSHOT_MAGIC);
     out.put_u64(through_seq);
-    for rec in records {
+    for payload in payloads {
         // Snapshot frames reuse the journal cursor as their seq: they
         // represent "state as of through_seq", and replaying them is
         // idempotent regardless of the number.
-        out.put_slice(&encode_frame(through_seq, &rec.encode()));
+        out.put_slice(&encode_frame(through_seq, &payload));
     }
     out.freeze()
 }

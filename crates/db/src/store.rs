@@ -3,17 +3,27 @@
 //! Thread-safe (parking_lot RwLocks) so integration tests can hammer one
 //! server from many client threads, as the real multi-student deployment
 //! would.
+//!
+//! Both stores keep their map behind an `Arc`, so [`ObjectStore::fork`]
+//! and [`ContentStore::fork`] are a reference-count bump: a published
+//! courseware image is shared by every session forked from it, and the
+//! first write to a fork clones the map (`Arc::make_mut`) without
+//! touching the image or any sibling fork.
 
 use bytes::Bytes;
 use mits_media::{MediaId, MediaObject};
 use mits_mheg::{MhegId, MhegObject, ObjectBody};
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// The MHEG object store (scenario database).
 #[derive(Default)]
 pub struct ObjectStore {
-    objects: RwLock<HashMap<MhegId, MhegObject>>,
+    objects: RwLock<Arc<HashMap<MhegId, MhegObject>>>,
+    /// Writes applied, bumped under the write lock after each one.
+    writes: AtomicU64,
 }
 
 impl ObjectStore {
@@ -22,15 +32,37 @@ impl ObjectStore {
         Self::default()
     }
 
+    /// A store sharing this one's contents until either side writes.
+    pub fn fork(&self) -> Self {
+        let map = self.objects.read();
+        ObjectStore {
+            objects: RwLock::new(map.clone()),
+            writes: AtomicU64::new(self.writes()),
+        }
+    }
+
+    /// How many writes this store (and, for a fork, its origin before
+    /// the fork) has applied. The count only grows, so while it stands
+    /// still the contents do too — what a cached digest is keyed on.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Acquire)
+    }
+
+    fn wrote(&self) {
+        self.writes.fetch_add(1, Ordering::Release);
+    }
+
     /// Insert or update an object. Updating bumps the stored version so
     /// "course content can be updated at anytime" (§3.2) is observable.
     pub fn put(&self, mut obj: MhegObject) -> u32 {
-        let mut map = self.objects.write();
+        let mut guard = self.objects.write();
+        let map = Arc::make_mut(&mut guard);
         if let Some(prev) = map.get(&obj.id) {
             obj.info.version = prev.info.version + 1;
         }
         let v = obj.info.version;
         map.insert(obj.id, obj);
+        self.wrote();
         v
     }
 
@@ -51,17 +83,19 @@ impl ObjectStore {
         mut obj: MhegObject,
         expected: Option<u32>,
     ) -> Result<u32, Option<u32>> {
-        let mut map = self.objects.write();
-        let current = map.get(&obj.id).map(|o| o.info.version);
+        let mut guard = self.objects.write();
+        let current = guard.get(&obj.id).map(|o| o.info.version);
         if current != expected {
             return Err(current);
         }
+        let map = Arc::make_mut(&mut guard);
         obj.info.version = match expected {
             Some(v) => v + 1,
             None => 0,
         };
         let v = obj.info.version;
         map.insert(obj.id, obj);
+        self.wrote();
         Ok(v)
     }
 
@@ -69,7 +103,9 @@ impl ObjectStore {
     /// snapshot/replay bootstrap path, which must reproduce recorded
     /// versions rather than re-derive them.
     pub fn put_exact(&self, obj: MhegObject) {
-        self.objects.write().insert(obj.id, obj);
+        let mut guard = self.objects.write();
+        Arc::make_mut(&mut guard).insert(obj.id, obj);
+        self.wrote();
     }
 
     /// Fetch a copy of an object.
@@ -79,7 +115,13 @@ impl ObjectStore {
 
     /// Remove an object.
     pub fn remove(&self, id: MhegId) -> bool {
-        self.objects.write().remove(&id).is_some()
+        let mut guard = self.objects.write();
+        if !guard.contains_key(&id) {
+            return false;
+        }
+        Arc::make_mut(&mut guard).remove(&id);
+        self.wrote();
+        true
     }
 
     /// Number of stored objects.
@@ -138,18 +180,22 @@ impl ObjectStore {
         media
     }
 
-    /// Visit every object (index building).
-    pub fn for_each(&self, mut f: impl FnMut(&MhegObject)) {
-        for obj in self.objects.read().values() {
-            f(obj);
-        }
+    /// Visit every object in ascending id order, under one read lock and
+    /// without copying any object (digests and checkpoints).
+    pub fn for_each(&self, f: impl FnMut(&MhegObject)) {
+        let map = self.objects.read();
+        let mut objs: Vec<&MhegObject> = map.values().collect();
+        objs.sort_unstable_by_key(|o| o.id);
+        objs.into_iter().for_each(f);
     }
 }
 
 /// The bulk content store (MEDIAFILE).
 #[derive(Default)]
 pub struct ContentStore {
-    media: RwLock<HashMap<MediaId, MediaObject>>,
+    media: RwLock<Arc<HashMap<MediaId, MediaObject>>>,
+    /// Writes applied, bumped under the write lock after each one.
+    writes: AtomicU64,
 }
 
 impl ContentStore {
@@ -158,9 +204,26 @@ impl ContentStore {
         Self::default()
     }
 
+    /// A store sharing this one's contents until either side writes.
+    pub fn fork(&self) -> Self {
+        let map = self.media.read();
+        ContentStore {
+            media: RwLock::new(map.clone()),
+            writes: AtomicU64::new(self.writes()),
+        }
+    }
+
+    /// How many writes this store (and, for a fork, its origin before
+    /// the fork) has applied; see [`ObjectStore::writes`].
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Acquire)
+    }
+
     /// Store a media object.
     pub fn put(&self, obj: MediaObject) {
-        self.media.write().insert(obj.id, obj);
+        let mut guard = self.media.write();
+        Arc::make_mut(&mut guard).insert(obj.id, obj);
+        self.writes.fetch_add(1, Ordering::Release);
     }
 
     /// Fetch a media object.
@@ -197,11 +260,13 @@ impl ContentStore {
             .sum()
     }
 
-    /// Visit every media object (checkpointing).
-    pub fn for_each(&self, mut f: impl FnMut(&MediaObject)) {
-        for m in self.media.read().values() {
-            f(m);
-        }
+    /// Visit every media object in ascending id order, under one read
+    /// lock and without copying any payload (digests and checkpoints).
+    pub fn for_each(&self, f: impl FnMut(&MediaObject)) {
+        let map = self.media.read();
+        let mut media: Vec<&MediaObject> = map.values().collect();
+        media.sort_unstable_by_key(|m| m.id);
+        media.into_iter().for_each(f);
     }
 }
 
@@ -361,6 +426,27 @@ mod tests {
         assert_eq!(cs.size_of(MediaId(1)), Some(3));
         assert_eq!(cs.total_bytes(), 3);
         assert!(cs.get(MediaId(2)).is_none());
+    }
+
+    #[test]
+    fn forks_share_until_written_and_count_writes() {
+        let (store, course, members) = store_with_course();
+        let before = store.writes();
+        assert_eq!(before, 4, "one write per stored object");
+        let fork = store.fork();
+        let sibling = store.fork();
+        assert_eq!(fork.writes(), before);
+        assert_eq!(fork.put(fork.get(course).unwrap()), 1);
+        assert!(fork.remove(members[0]));
+        assert!(!fork.remove(MhegId::new(9, 9)), "a miss is not a write");
+        assert_eq!(fork.writes(), before + 2);
+        assert_eq!(store.version_of(course), Some(0), "origin untouched");
+        assert!(store.get(members[0]).is_some());
+        assert_eq!((store.writes(), sibling.writes()), (before, before));
+        assert_eq!(sibling.len(), 4);
+        let mut ids = Vec::new();
+        store.for_each(|o| ids.push(o.id));
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "visited in id order");
     }
 
     #[test]

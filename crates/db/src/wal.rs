@@ -134,10 +134,11 @@ impl LogDevice for MemLogDevice {
 
 /// A device whose bytes outlive the server that wrote them — the
 /// simulation's stand-in for a disk that survives a process crash. Clone
-/// handles share the same storage.
+/// handles share the same storage; [`SharedLogDevice::fork`] makes a
+/// separate device that shares the bytes until either side writes.
 #[derive(Debug, Default, Clone)]
 pub struct SharedLogDevice {
-    data: Arc<Mutex<Vec<u8>>>,
+    data: Arc<Mutex<Arc<Vec<u8>>>>,
 }
 
 impl SharedLogDevice {
@@ -149,40 +150,55 @@ impl SharedLogDevice {
     /// A shared device pre-loaded with `data` (recovery tests).
     pub fn with_data(data: Vec<u8>) -> Self {
         SharedLogDevice {
-            data: Arc::new(Mutex::new(data)),
+            data: Arc::new(Mutex::new(Arc::new(data))),
+        }
+    }
+
+    /// A new device holding this one's current bytes. The bytes are
+    /// shared, not copied: the first append, truncation or corruption on
+    /// either device copies them (`Arc::make_mut`), so writes never reach
+    /// the other device.
+    pub fn fork(&self) -> Self {
+        SharedLogDevice {
+            data: Arc::new(Mutex::new(self.data.lock().clone())),
         }
     }
 
     /// Snapshot of the device contents.
     pub fn snapshot(&self) -> Vec<u8> {
-        self.data.lock().clone()
+        self.data.lock().to_vec()
     }
 
     /// Overwrite the device contents (checkpoint rewrite).
     pub fn reset(&self, data: &[u8]) {
-        let mut d = self.data.lock();
-        d.clear();
-        d.extend_from_slice(data);
+        *self.data.lock() = Arc::new(data.to_vec());
     }
 
     /// Corrupt one byte in place (fault-injection tests).
     pub fn flip_bit(&self, pos: usize, bit: u8) {
         let mut d = self.data.lock();
         if pos < d.len() {
-            d[pos] ^= 1 << (bit & 7);
+            Arc::make_mut(&mut d)[pos] ^= 1 << (bit & 7);
         }
     }
 }
 
 impl LogDevice for SharedLogDevice {
     fn append(&mut self, data: &[u8]) {
-        self.data.lock().extend_from_slice(data);
+        Arc::make_mut(&mut self.data.lock()).extend_from_slice(data);
     }
     fn read_all(&self) -> Vec<u8> {
-        self.data.lock().clone()
+        self.snapshot()
     }
     fn truncate_to(&mut self, len: usize) {
-        self.data.lock().truncate(len);
+        let mut d = self.data.lock();
+        if len < d.len() {
+            // Copy only the kept prefix when the bytes are shared.
+            match Arc::get_mut(&mut d) {
+                Some(v) => v.truncate(len),
+                None => *d = Arc::new(d[..len].to_vec()),
+            }
+        }
     }
     fn len(&self) -> usize {
         self.data.lock().len()
@@ -291,27 +307,12 @@ impl WalRecord {
     pub fn encode(&self) -> Bytes {
         let mut w = BytesMut::with_capacity(64);
         match self {
-            WalRecord::PutObject { object } => {
-                w.put_u8(TAG_PUT_OBJECT);
-                let enc = encode_object(object, WireFormat::Tlv);
-                w.put_u32(enc.len() as u32);
-                w.put_slice(&enc);
-            }
+            WalRecord::PutObject { object } => return put_object_payload(object),
+            WalRecord::PutContent { media } => return put_content_payload(media),
             WalRecord::RemoveObject { id } => {
                 w.put_u8(TAG_REMOVE_OBJECT);
                 w.put_u32(id.app);
                 w.put_u64(id.num);
-            }
-            WalRecord::PutContent { media } => {
-                w.put_u8(TAG_PUT_CONTENT);
-                w.put_u64(media.id.0);
-                put_str(&mut w, &media.name);
-                w.put_u8(media.format.wire_tag());
-                w.put_u64(media.duration.as_micros());
-                w.put_u32(media.dims.width);
-                w.put_u32(media.dims.height);
-                w.put_u32(media.data.len() as u32);
-                w.put_slice(&media.data);
             }
             WalRecord::BookmarkAdd {
                 student,
@@ -417,6 +418,33 @@ impl WalRecord {
         }
         Ok(rec)
     }
+}
+
+/// The payload of a `PutObject` record for `object`, without building
+/// (and so cloning into) the record.
+pub(crate) fn put_object_payload(object: &MhegObject) -> Bytes {
+    let enc = encode_object(object, WireFormat::Tlv);
+    let mut w = BytesMut::with_capacity(5 + enc.len());
+    w.put_u8(TAG_PUT_OBJECT);
+    w.put_u32(enc.len() as u32);
+    w.put_slice(&enc);
+    w.freeze()
+}
+
+/// The payload of a `PutContent` record for `media`, without building
+/// (and so cloning into) the record.
+pub(crate) fn put_content_payload(media: &MediaObject) -> Bytes {
+    let mut w = BytesMut::with_capacity(37 + media.name.len() + media.data.len());
+    w.put_u8(TAG_PUT_CONTENT);
+    w.put_u64(media.id.0);
+    put_str(&mut w, &media.name);
+    w.put_u8(media.format.wire_tag());
+    w.put_u64(media.duration.as_micros());
+    w.put_u32(media.dims.width);
+    w.put_u32(media.dims.height);
+    w.put_u32(media.data.len() as u32);
+    w.put_slice(&media.data);
+    w.freeze()
 }
 
 fn put_str(w: &mut BytesMut, s: &str) {
@@ -641,6 +669,17 @@ impl Wal {
         Ok((seq, rec))
     }
 
+    /// A log over `dev` continuing this one's cursor and append counters
+    /// — for a device holding this log's bytes (a forked server's).
+    pub fn fork(&self, dev: Box<dyn LogDevice>) -> Wal {
+        Wal {
+            dev,
+            next_seq: self.next_seq,
+            appended_records: self.appended_records,
+            appended_bytes: self.appended_bytes,
+        }
+    }
+
     /// The next sequence number this log will assign.
     pub fn next_seq(&self) -> u64 {
         self.next_seq
@@ -664,7 +703,7 @@ impl Wal {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mits_mheg::{ClassLibrary, GenericValue};
 
@@ -790,6 +829,57 @@ mod tests {
         // Duplicate shipment: verified, decoded, but not re-appended.
         replica.append_frame(&frames[0]).unwrap();
         assert_eq!(replica.device_len(), before);
+    }
+
+    /// A `PutObject` payload whose TLV nests 200k elements, 4 bytes each.
+    pub(crate) fn deeply_nested_object() -> Vec<u8> {
+        let mut tlv = b"MHG1".to_vec();
+        for _ in 0..200_000 {
+            tlv.extend_from_slice(&[0x01, 1, b'x', 0, 1]);
+        }
+        tlv
+    }
+
+    #[test]
+    fn deeply_nested_object_is_an_error_not_an_abort() {
+        let tlv = deeply_nested_object();
+        let mut payload = vec![TAG_PUT_OBJECT];
+        payload.extend_from_slice(&(tlv.len() as u32).to_be_bytes());
+        payload.extend_from_slice(&tlv);
+        assert!(matches!(
+            WalRecord::decode(&payload),
+            Err(DbError::Malformed(m)) if m.contains("nested")
+        ));
+        // Replay keeps the good prefix and reports the hostile frame.
+        let mut wal = Wal::create(Box::new(MemLogDevice::new()), 0);
+        wal.append(&sample_records()[1]);
+        let mut dev = wal.dev.read_all();
+        dev.extend_from_slice(&encode_frame(1, &payload));
+        let (records, report) = read_frames(&dev);
+        assert_eq!(records.len(), 1);
+        assert!(report.torn_tail);
+    }
+
+    #[test]
+    fn forked_device_shares_bytes_until_a_write() {
+        let mut base = SharedLogDevice::with_data(b"publish".to_vec());
+        let mut a = base.fork();
+        let b = base.fork();
+        a.append(b"+tail");
+        assert_eq!(a.read_all(), b"publish+tail");
+        assert_eq!(base.read_all(), b"publish", "fork writes stay in the fork");
+        assert_eq!(b.read_all(), b"publish", "siblings are independent");
+        a.truncate_to(3);
+        b.flip_bit(0, 5);
+        assert_eq!(a.read_all(), b"pub");
+        assert_eq!(b.read_all(), b"Publish");
+        assert_eq!(base.read_all(), b"publish");
+        base.append(b"!");
+        assert_eq!((a.len(), b.len(), base.len()), (3, 7, 8));
+        // Clone handles still share one device.
+        let mut same = a.clone();
+        same.append(b"x");
+        assert_eq!(a.read_all(), b"pubx");
     }
 
     #[test]

@@ -44,7 +44,17 @@ pub enum CodecError {
     UnknownTag(u8),
     /// Text was not valid UTF-8 / markup did not parse.
     BadText(String),
+    /// Elements nested deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
+
+/// Deepest element nesting either decoder accepts. Decoding recurses
+/// once per level, so without a bound a hostile stream of nested
+/// elements (4 bytes a level in TLV) exhausts the stack and aborts the
+/// process. The deepest tree any object class encodes to is 5 levels (a
+/// link's inline action entry), so the bound leaves wide headroom for
+/// future classes while keeping a decode's stack use small.
+pub const MAX_DEPTH: usize = 64;
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -53,6 +63,7 @@ impl fmt::Display for CodecError {
             CodecError::Malformed(s) => write!(f, "malformed object: {s}"),
             CodecError::UnknownTag(t) => write!(f, "unknown tag {t}"),
             CodecError::BadText(s) => write!(f, "bad text: {s}"),
+            CodecError::TooDeep => write!(f, "elements nested deeper than {MAX_DEPTH}"),
         }
     }
 }
@@ -326,6 +337,36 @@ mod tests {
             tlv.len(),
             sgml.len()
         );
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_an_abort() {
+        // 200k elements, each the single child of the one before: 4 bytes
+        // a level, 800 KB in all.
+        let mut wire = b"MHG1".to_vec();
+        for _ in 0..200_000 {
+            wire.extend_from_slice(&[0x01, 1, b'x', 0, 1]);
+        }
+        assert_eq!(
+            decode_object(&wire, WireFormat::Tlv),
+            Err(CodecError::TooDeep)
+        );
+        let text = "<mheg>".repeat(200_000);
+        assert_eq!(
+            decode_object(text.as_bytes(), WireFormat::Sgml),
+            Err(CodecError::TooDeep)
+        );
+    }
+
+    #[test]
+    fn every_sample_object_nests_well_inside_the_bound() {
+        fn depth(n: &Node) -> usize {
+            1 + n.kids().iter().map(depth).max().unwrap_or(0)
+        }
+        for obj in sample_objects() {
+            let d = depth(&tree::object_to_node(&obj));
+            assert!(d * 4 <= MAX_DEPTH, "{}: depth {d}", obj.id);
+        }
     }
 
     #[test]

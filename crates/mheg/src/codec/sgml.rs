@@ -7,7 +7,7 @@
 //! this dialect preserves that role while remaining auditable by eye.
 
 use super::node::{escape, from_hex, to_hex, unescape, Node};
-use super::CodecError;
+use super::{CodecError, MAX_DEPTH};
 use bytes::Bytes;
 
 /// Render a tree as markup text.
@@ -25,7 +25,7 @@ pub fn decode(text: &str) -> Result<Node, CodecError> {
         pos: 0,
     };
     p.skip_ws();
-    let node = p.parse_node()?;
+    let node = p.parse_node(1)?;
     p.skip_ws();
     if p.pos != p.text.len() {
         return Err(CodecError::BadText(format!(
@@ -136,7 +136,11 @@ impl<'a> Parser<'a> {
         Err(CodecError::Truncated)
     }
 
-    fn parse_node(&mut self) -> Result<Node, CodecError> {
+    /// Parses one node at nesting level `depth` (the root is level 1).
+    fn parse_node(&mut self, depth: usize) -> Result<Node, CodecError> {
+        if depth > MAX_DEPTH {
+            return Err(CodecError::TooDeep);
+        }
         self.expect(b'<')?;
         let name = self.ident()?;
         let mut attrs = Vec::new();
@@ -192,7 +196,7 @@ impl<'a> Parser<'a> {
                     children,
                 });
             }
-            children.push(self.parse_node()?);
+            children.push(self.parse_node(depth + 1)?);
         }
     }
 
@@ -266,6 +270,14 @@ mod tests {
                 assert!(decode(&text[..cut]).is_err(), "cut at {cut}");
             }
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |levels: usize| "<a>".repeat(levels - 1) + "<a/>" + &"</a>".repeat(levels - 1);
+        assert!(decode(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(decode(&nested(MAX_DEPTH + 1)), Err(CodecError::TooDeep));
+        assert_eq!(decode(&"<a>".repeat(200_000)), Err(CodecError::TooDeep));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! objects small; inline media rides raw (no transcoding).
 
 use super::node::Node;
-use super::CodecError;
+use super::{CodecError, MAX_DEPTH};
 use bytes::Bytes;
 
 const TAG_ELEM: u8 = 0x01;
@@ -28,7 +28,7 @@ pub fn decode(data: &[u8]) -> Result<Node, CodecError> {
         data: &data[4..],
         pos: 0,
     };
-    let node = read_node(&mut r)?;
+    let node = read_node(&mut r, 1)?;
     if r.pos != r.data.len() {
         return Err(CodecError::Malformed(format!(
             "{} trailing bytes",
@@ -127,9 +127,13 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn read_node(r: &mut Reader<'_>) -> Result<Node, CodecError> {
+/// Reads one node at nesting level `depth` (the root is level 1).
+fn read_node(r: &mut Reader<'_>, depth: usize) -> Result<Node, CodecError> {
     match r.byte()? {
         TAG_ELEM => {
+            if depth > MAX_DEPTH {
+                return Err(CodecError::TooDeep);
+            }
             let name = r.string()?;
             let nattrs = r.varint()? as usize;
             // Cap pre-allocation to a sane bound: a hostile length field
@@ -143,7 +147,7 @@ fn read_node(r: &mut Reader<'_>) -> Result<Node, CodecError> {
             let nchildren = r.varint()? as usize;
             let mut children = Vec::with_capacity(nchildren.min(64));
             for _ in 0..nchildren {
-                children.push(read_node(r)?);
+                children.push(read_node(r, depth + 1)?);
             }
             Ok(Node::Elem {
                 name,
@@ -220,6 +224,31 @@ mod tests {
     fn unknown_tag_rejected() {
         let wire = [b'M', b'H', b'G', b'1', 0x7E];
         assert_eq!(decode(&wire), Err(CodecError::UnknownTag(0x7E)));
+    }
+
+    /// `levels` elements, each the single child of the one before.
+    fn nested(levels: usize) -> Vec<u8> {
+        let mut wire = MAGIC.to_vec();
+        for _ in 0..levels {
+            wire.push(TAG_ELEM);
+            write_str(&mut wire, "x");
+            write_varint(&mut wire, 0);
+            write_varint(&mut wire, 1);
+        }
+        wire
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let mut wire = nested(MAX_DEPTH - 1);
+        wire.push(TAG_ELEM);
+        write_str(&mut wire, "x");
+        write_varint(&mut wire, 0);
+        write_varint(&mut wire, 0);
+        assert!(decode(&wire).is_ok(), "MAX_DEPTH levels decode");
+        assert_eq!(decode(&nested(MAX_DEPTH + 1)), Err(CodecError::TooDeep));
+        // Deep enough to overflow any thread stack if it recursed.
+        assert_eq!(decode(&nested(200_000)), Err(CodecError::TooDeep));
     }
 
     #[test]

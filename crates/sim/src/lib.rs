@@ -81,7 +81,7 @@ pub use payload::Payload;
 pub use profile::{classify_layer, profile_spans, profile_tracer, LayerTotal, NameTotal, Profile};
 pub use queue::{BoundedQueue, DropPolicy, TokenBucket};
 pub use registry::{MetricValue, MetricsRegistry, MetricsSnapshot, SnapshotValue};
-pub use replay::{derive_seed, DigestTrace, Divergence, ReplayBundle};
+pub use replay::{derive_seed, fnv1a, DigestTrace, Divergence, ReplayBundle, FNV_OFFSET};
 pub use rng::SimRng;
 pub use slo::{Slo, SloInput, SloKind, SloOutcome, SloReport, Verdict};
 pub use stats::{Exemplar, Histogram, OnlineStats, RatioCounter, TimeWeighted};

@@ -33,6 +33,22 @@ pub fn derive_seed(base: u64, student: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a offset basis: the starting state of every [`fnv1a`] chain.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Folds `bytes` into the FNV-1a state `h`, one byte at a time. The one
+/// hash behind the session, campus and store-state digests: chaining
+/// calls equals hashing the concatenation.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
 /// The first layer at which a replayed session's digest left the
 /// campus-recorded one. Layers are compared in fold order, so the
 /// named layer is where the executions first disagree — everything
@@ -206,6 +222,18 @@ mod tests {
         assert_eq!(derive_seed(42, 7), derive_seed(42, 7));
         assert_ne!(derive_seed(42, 7), derive_seed(42, 8));
         assert_ne!(derive_seed(42, 7), derive_seed(43, 7));
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_chains() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_F739_67E8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! shows up as a digest mismatch between thread counts.
 
 use bytes::Bytes;
-use mits::core::{Campus, CampusWorkload};
+use mits::core::{
+    Campus, CampusWorkload, ClientId, MitsSystem, ReportSink, SessionReport, SystemConfig,
+};
 use mits::db::RetryPolicy;
 use mits::media::{MediaFormat, MediaId, MediaObject, VideoDims};
 use mits::mheg::{ClassLibrary, GenericValue};
@@ -163,4 +165,159 @@ fn failed_sessions_change_the_campus_digest() {
     assert_eq!(clean.sessions_failed, 0);
     assert_eq!(faulty.sessions_failed, 1);
     assert_ne!(clean.digest, faulty.digest);
+}
+
+/// A catalogue: `lessons` workloads over one shared object set, each
+/// lesson a container of its own with one clip of its own — the shape
+/// in which every lesson's published image holds the same objects.
+fn catalogue(lessons: usize) -> Vec<CampusWorkload> {
+    let mut lib = ClassLibrary::new(1);
+    let roots: Vec<_> = (0..lessons)
+        .map(|k| {
+            let v = lib.value_content(&format!("lesson{k}.text"), GenericValue::Int(k as i64));
+            lib.container(&format!("Lesson {k}"), vec![v])
+        })
+        .collect();
+    let objects = lib.into_objects();
+    roots
+        .into_iter()
+        .enumerate()
+        .map(|(k, root)| {
+            let mut w = workload(0, 0);
+            w.objects = objects.clone();
+            w.root = root;
+            w.media = workload(1, 1024 + 97 * k).media;
+            w.media[0].id = MediaId(900 + k as u64);
+            w
+        })
+        .collect()
+}
+
+/// Sessions run over forks of one published image per lesson, built the
+/// first time a student opens the lesson. Which worker builds an image,
+/// and when, must not reach any result: with students both fewer and
+/// more than lessons, the digest and merged metrics are identical on 1
+/// and 2 threads under an admission window of 1 and of the population.
+#[test]
+fn published_images_are_schedule_invariant_on_a_catalogue() {
+    let lessons = catalogue(12);
+    for students in [5, 40] {
+        let run = |threads: usize, window: usize| {
+            Campus::new(students, 2026)
+                .threads(threads)
+                .max_concurrent(window)
+                .workloads(lessons.clone())
+                .run()
+                .unwrap()
+        };
+        let base = run(1, 1);
+        assert_eq!(base.sessions_failed, 0);
+        assert_eq!(
+            base.metrics.counter("campus.sessions"),
+            Some(students as u64)
+        );
+        for (threads, window) in [(1, students), (2, 1), (2, students)] {
+            let r = run(threads, window);
+            assert_eq!(
+                base.digest, r.digest,
+                "{students} students, threads={threads} window={window}"
+            );
+            assert_eq!(base.metrics.to_json(), r.metrics.to_json());
+        }
+    }
+}
+
+/// Sessions of one lesson may run over different store layouts; each
+/// layout gets its own image, and the result is still schedule-invariant.
+#[test]
+fn images_are_keyed_by_store_layout() {
+    let run = |threads: usize| {
+        Campus::new(12, 3)
+            .threads(threads)
+            .workloads(catalogue(2))
+            .configure_sessions(|spec, config| match spec.student % 3 {
+                0 => config,
+                1 => config.with_shards(3),
+                _ => config.with_shards(3).with_replica(),
+            })
+            .run()
+            .unwrap()
+    };
+    let base = run(1);
+    assert_eq!(base.sessions_failed, 0);
+    let r = run(2);
+    assert_eq!(base.digest, r.digest);
+    assert_eq!(base.metrics.to_json(), r.metrics.to_json());
+}
+
+/// Replay publishes the replayed student's lesson itself, so it is
+/// faithful for a lesson no session of the replaying campus has opened.
+#[test]
+fn replay_is_faithful_for_a_lesson_not_yet_published() {
+    struct Keep(usize, Option<SessionReport>);
+    impl ReportSink for Keep {
+        fn session(&mut self, r: &SessionReport) {
+            if r.student == self.0 {
+                self.1 = Some(r.clone());
+            }
+        }
+    }
+    let lessons = catalogue(12);
+    let campus = || Campus::new(30, 7).threads(2).workloads(lessons.clone());
+    // Student 29 opens lesson 5. A fresh campus that never ran has built
+    // no image at all when it replays the captured session.
+    let mut keep = Keep(29, None);
+    campus().run_with(&mut keep).unwrap();
+    let report = keep.1.expect("student 29 retired");
+    let fresh = campus();
+    let replayed = fresh.replay_bundle(&fresh.extract(&report)).unwrap();
+    assert!(replayed.digest_match);
+    assert_eq!(replayed.report.digest, report.digest);
+    // A campus smaller than the catalogue replays too.
+    let small = Campus::new(3, 7).threads(1).workloads(lessons.clone());
+    let replayed = small.replay(2).unwrap();
+    assert!(replayed.digest_match);
+    assert_eq!(replayed.bundle.workload, 2);
+}
+
+/// An installed image is what publishing into the session would have
+/// built, on one shard and on three shards with replicas; an image of
+/// another store layout is refused.
+#[test]
+fn an_installed_image_equals_a_per_session_publish() {
+    let lessons = catalogue(3);
+    let w = &lessons[1];
+    for config in [
+        SystemConfig::broadband(1).with_seed(5),
+        SystemConfig::broadband(1)
+            .with_seed(5)
+            .with_shards(3)
+            .with_replica()
+            .with_server_queue_limit(8),
+    ] {
+        let mut published = MitsSystem::build(&config).unwrap();
+        published.load_doc(&w.objects, &w.media, w.root);
+        let image = MitsSystem::publish_image(&config, &w.objects, &w.media, w.root).unwrap();
+        let mut forked = MitsSystem::build(&config).unwrap();
+        forked.install_image(&image).unwrap();
+        for i in 0..published.server_count() {
+            let (a, b) = (published.db_at(i), forked.db_at(i));
+            assert_eq!(a.state_digest(), b.state_digest(), "server {i}");
+            assert_eq!(a.wal_next_seq(), b.wal_next_seq(), "server {i}");
+            assert_eq!(a.wal_device_len(), b.wal_device_len(), "server {i}");
+            assert_eq!(a.overload_threshold(), b.overload_threshold());
+            assert_eq!(a.is_shipping(), b.is_shipping(), "server {i}");
+        }
+        published.export_metrics();
+        forked.export_metrics();
+        assert_eq!(published.metrics.to_json(), forked.metrics.to_json());
+        let (got, _) = forked.fetch_courseware(ClientId(0), w.root).unwrap();
+        let (want, _) = published.fetch_courseware(ClientId(0), w.root).unwrap();
+        assert_eq!(got, want);
+    }
+    let one_shard =
+        MitsSystem::publish_image(&SystemConfig::broadband(1), &w.objects, &w.media, w.root)
+            .unwrap();
+    let mut sharded = MitsSystem::build(&SystemConfig::broadband(1).with_shards(3)).unwrap();
+    assert!(sharded.install_image(&one_shard).is_err());
 }
