@@ -4,27 +4,14 @@
 
 use bytes::Bytes;
 use mits_atm::{aal5, AtmNetwork, LinkProfile, ReliableChannel, ServiceClass, TransportEvent};
-use mits_sim::{SimDuration, SimTime};
+use mits_sim::{crc32, SimDuration, SimTime};
 use proptest::prelude::*;
-
-/// Bit-serial CRC-32 (IEEE 802.3, reflected 0xEDB88320) — the seed
-/// implementation, kept as an independent oracle for the table-driven
-/// rewrite in `aal5`.
-fn crc32_ref(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Copy-based AAL5 segmentation exactly as the seed implemented it: build
 /// the padded trailer-carrying buffer and cut it into owned 48-byte
 /// chunks. The zero-copy path must produce byte-identical cell payloads.
+/// The CRC is the shared kernel, which mits-sim checks against the
+/// bit-serial oracle.
 fn segment_ref(payload: &[u8]) -> Vec<[u8; 48]> {
     const CELL: usize = 48;
     const TRAILER: usize = 8;
@@ -34,7 +21,7 @@ fn segment_ref(payload: &[u8]) -> Vec<[u8; 48]> {
     let mut buf = vec![0u8; total];
     buf[..payload.len()].copy_from_slice(payload);
     buf[total - 6..total - 4].copy_from_slice(&(payload.len() as u16).to_be_bytes());
-    let crc = crc32_ref(&buf[..total - 4]);
+    let crc = crc32(&buf[..total - 4]);
     buf[total - 4..].copy_from_slice(&crc.to_be_bytes());
     (0..ncells)
         .map(|i| buf[i * CELL..(i + 1) * CELL].try_into().expect("48 bytes"))
@@ -93,12 +80,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Full-window round trip: any length up to 200 000 survives
-    /// segment→reassemble through the run-descriptor path, and every
-    /// CRC-32 implementation — slice-by-8, slice-by-16, and the runtime
-    /// dispatcher (which takes the SIMD lane where the host supports
-    /// it) — agrees byte-for-byte with the bit-serial oracle.
+    /// segment→reassemble through the run-descriptor path.
     #[test]
-    fn aal5_crc_impls_agree_across_full_window(
+    fn aal5_run_round_trips_across_full_window(
         len in 0usize..=200_000,
         seed in any::<u64>(),
     ) {
@@ -106,10 +90,6 @@ proptest! {
         let payload: Vec<u8> = (0..len)
             .map(|i| ((i as u64).wrapping_mul(mult) >> 13) as u8)
             .collect();
-        let oracle = crc32_ref(&payload);
-        prop_assert_eq!(aal5::crc32_slice8(&payload), oracle, "slice-by-8");
-        prop_assert_eq!(aal5::crc32_slice16(&payload), oracle, "slice-by-16");
-        prop_assert_eq!(aal5::crc32(&payload), oracle, "dispatch");
         let run = aal5::segment_run(&payload);
         prop_assert_eq!(run.ncells, aal5::cells_for(payload.len()));
         let back = aal5::reassemble_run(&run.payload).expect("run round trip");

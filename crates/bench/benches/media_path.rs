@@ -6,8 +6,9 @@
 
 use bytes::Bytes;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mits_atm::aal5::{cells_for, crc32, crc32_slice16, crc32_slice8, reassemble_run, segment_run};
+use mits_atm::aal5::{cells_for, reassemble_run, segment_run};
 use mits_atm::{reassemble, segment, AtmNetwork, LinkProfile, ServiceClass};
+use mits_sim::crc::{crc32, crc32_slice16};
 use mits_sim::SimTime;
 
 /// One video-scale PDU: 64 KiB, the order of a clip chunk on the wire.
@@ -23,12 +24,9 @@ fn bench_media_path(c: &mut Criterion) {
     // Stage 1: the CRC-32 kernel alone — it runs over every PDU twice
     // (segment + reassemble), so this is the hot inner loop. Each
     // implementation tier gets its own line so a dispatch change (SIMD
-    // lane lost, table rebuilt) shows up against its fallbacks.
+    // lane lost, table rebuilt) shows up against its fallback.
     group.bench_function("net.aal5.crc32_64KiB", |b| {
         b.iter(|| crc32(criterion::black_box(&payload)))
-    });
-    group.bench_function("net.aal5.crc32_slice8_64KiB", |b| {
-        b.iter(|| crc32_slice8(criterion::black_box(&payload)))
     });
     group.bench_function("net.aal5.crc32_slice16_64KiB", |b| {
         b.iter(|| crc32_slice16(criterion::black_box(&payload)))

@@ -909,19 +909,17 @@ fn net_stage_mbps(per_cell: bool) -> f64 {
 /// flame profiler attributes time to.
 fn media() {
     use mits_atm::aal5;
+    use mits_sim::crc;
     header("MEDIA", "media-path stage throughput");
     let out = std::env::var("MITS_MEDIA_OUT").unwrap_or_else(|_| "BENCH_media.json".into());
     let buf: Vec<u8> = (0..1 << 20).map(|i| (i * 31 % 251) as u8).collect();
-    let crc_slice8 = stage_mbps(buf.len(), || {
-        std::hint::black_box(aal5::crc32_slice8(std::hint::black_box(&buf)));
-    });
     let crc_slice16 = stage_mbps(buf.len(), || {
-        std::hint::black_box(aal5::crc32_slice16(std::hint::black_box(&buf)));
+        std::hint::black_box(crc::crc32_slice16(std::hint::black_box(&buf)));
     });
     // The dispatching entry point: the SIMD path when the host supports
     // it (and its self-check passed), slice-by-16 otherwise.
     let crc_dispatch = stage_mbps(buf.len(), || {
-        std::hint::black_box(aal5::crc32(std::hint::black_box(&buf)));
+        std::hint::black_box(crc::crc32(std::hint::black_box(&buf)));
     });
     let segment = {
         let payload = vec![3u8; 200 * 1024];
@@ -941,9 +939,8 @@ fn media() {
     let net_per_cell = net_stage_mbps(true);
     let fetch_kbps = fetch_microbench();
     let json = format!(
-        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice8_mbps\": {:.1},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1}\n}}\n",
-        aal5::crc32_is_hw_accelerated(),
-        crc_slice8,
+        "{{\n  \"experiment\": \"media\",\n  \"crc_hw_accelerated\": {},\n  \"crc_slice16_mbps\": {:.1},\n  \"crc_dispatch_mbps\": {:.1},\n  \"segment_mbps\": {:.1},\n  \"reassemble_mbps\": {:.1},\n  \"net_train_mbps\": {:.1},\n  \"net_per_cell_mbps\": {:.1},\n  \"train_speedup\": {:.2},\n  \"fetch200k_kbps\": {:.1}\n}}\n",
+        crc::crc32_is_hw_accelerated(),
         crc_slice16,
         crc_dispatch,
         segment,

@@ -78,8 +78,12 @@ const WALL_SECS_BINS: usize = 60_000;
 /// byte counts.
 const SESSION_FAILED_MARK: u64 = 0xFA11_ED00_5E55_10FF;
 
-/// Default timeline window: 250 ms of session-local virtual time.
-const TIMELINE_WINDOW_MS: u64 = 250;
+/// Timeline window: 250 ms of session-local virtual time. The width
+/// reaches the timeline bytes, so it is one constant, not an option.
+const TIMELINE_WINDOW: SimDuration = SimDuration::from_millis(250);
+
+/// Sessions simulating longer than this are tail-sampled as slow.
+const SLOW_SESSION: SimDuration = SimDuration::from_secs(30);
 
 /// Campus-wide cap on retained flight-recorder tails. Tails are kept
 /// only for degraded/failed sessions and only up to this many (in
@@ -178,10 +182,6 @@ pub struct SessionReport {
     /// Host wall-clock the session took (not part of any digest).
     pub wall_secs: f64,
 }
-
-/// Deprecated name for [`SessionReport`] from the slot-per-shard runner.
-#[deprecated(note = "renamed to SessionReport")]
-pub type ShardReport = SessionReport;
 
 /// The campus-wide merge a run ends with: everything deterministic
 /// (digest, metrics, SLOs) plus the host wall totals.
@@ -289,7 +289,7 @@ impl CampusReport {
             metrics: MetricsSnapshot::new(),
             traces: Vec::new(),
             slo: SloReport::default(),
-            timeline: Timeline::new(SimDuration::from_millis(TIMELINE_WINDOW_MS)),
+            timeline: Timeline::new(TIMELINE_WINDOW),
             forensics: Vec::new(),
             wall_hist: Histogram::new(0.0, WALL_SECS_HI, WALL_SECS_BINS),
         }
@@ -655,11 +655,9 @@ pub struct Campus {
     max_concurrent: usize,
     batch: usize,
     trace_sample_rate: f64,
-    slow_session: SimDuration,
     workloads: Vec<CampusWorkload>,
     slos: Option<Vec<Slo>>,
     session_config: Option<Arc<SessionConfigFn>>,
-    timeline_window: SimDuration,
     fault_schedule: Vec<FaultWindow>,
     flight_ring: usize,
 }
@@ -675,11 +673,9 @@ impl Campus {
             max_concurrent: 0,
             batch: 0,
             trace_sample_rate: 0.05,
-            slow_session: SimDuration::from_secs(30),
             workloads: Vec::new(),
             slos: None,
             session_config: None,
-            timeline_window: SimDuration::from_millis(TIMELINE_WINDOW_MS),
             fault_schedule: Vec::new(),
             flight_ring: mits_sim::FLIGHT_RING_CAP,
         }
@@ -738,23 +734,6 @@ impl Campus {
     /// Anomalous sessions are kept regardless (tail sampling).
     pub fn trace_sample_rate(mut self, rate: f64) -> Self {
         self.trace_sample_rate = rate;
-        self
-    }
-
-    /// Sessions simulating longer than this are tail-sampled as slow.
-    pub fn slow_session(mut self, d: SimDuration) -> Self {
-        self.slow_session = d;
-        self
-    }
-
-    /// Width of the windowed telemetry timeline (session-local virtual
-    /// time; default 250 ms). Zero keeps the default. The window width
-    /// reaches the timeline bytes, so compare runs only at equal
-    /// widths.
-    pub fn timeline_window(mut self, w: SimDuration) -> Self {
-        if !w.is_zero() {
-            self.timeline_window = w;
-        }
         self
     }
 
@@ -830,14 +809,13 @@ impl Campus {
             self.max_concurrent
         };
         let sampler = TraceSampler::new(self.base_seed, self.trace_sample_rate)
-            .with_latency_threshold(self.slow_session);
-        let tl_window = self.timeline_window;
+            .with_latency_threshold(SLOW_SESSION);
         let start = Instant::now();
 
         let images = Images::new(&self.workloads);
         let queue = BatchQueue::new(n_batches, workers);
         let window = AdmissionWindow::new(max_concurrent);
-        let merge = Mutex::new(MergeState::new(sink, tl_window));
+        let merge = Mutex::new(MergeState::new(sink));
         let fatal: Mutex<Option<SystemError>> = Mutex::new(None);
         let abort = AtomicBool::new(false);
 
@@ -849,7 +827,7 @@ impl Campus {
                 }
                 let lo = b * batch;
                 let hi = ((b + 1) * batch).min(students);
-                let mut out = BatchOut::new(tl_window);
+                let mut out = BatchOut::new();
                 for student in lo..hi {
                     let spec = SessionSpec {
                         student,
@@ -877,7 +855,6 @@ impl Campus {
                             &sampler,
                             &spec,
                             &config,
-                            tl_window,
                             std::mem::take(&mut scratch),
                             None,
                         )
@@ -938,7 +915,7 @@ impl Campus {
         // window, align it against the declared fault schedule, and
         // attach the exemplar-linked samples and flight-recorder tails
         // as evidence. Healthy run => no bundles.
-        let timeline = std::mem::replace(&mut merged.timeline, Timeline::new(tl_window));
+        let timeline = std::mem::replace(&mut merged.timeline, Timeline::new(TIMELINE_WINDOW));
         let exemplars: Vec<Exemplar> = merged
             .metrics
             .histogram("campus.session_secs")
@@ -1034,8 +1011,7 @@ impl Campus {
         };
         // Rate 1.0 head-samples every student, so the replayed trace is
         // always kept; the decision stays out of the digest.
-        let sampler =
-            TraceSampler::new(self.base_seed, 1.0).with_latency_threshold(self.slow_session);
+        let sampler = TraceSampler::new(self.base_seed, 1.0).with_latency_threshold(SLOW_SESSION);
         let mut weathermap = String::new();
         let mut route = Vec::new();
         let mut waterfall = String::new();
@@ -1062,7 +1038,6 @@ impl Campus {
             &sampler,
             &spec,
             &config,
-            self.timeline_window,
             SessionScratch::default(),
             Some(&mut observe),
         )?;
@@ -1181,12 +1156,12 @@ struct BatchOut {
 }
 
 impl BatchOut {
-    fn new(window: SimDuration) -> Self {
+    fn new() -> Self {
         BatchOut {
             sessions: Vec::new(),
             traces: Vec::new(),
             snapshot: MetricsSnapshot::new(),
-            timeline: Timeline::new(window),
+            timeline: Timeline::new(TIMELINE_WINDOW),
             tails: Vec::new(),
         }
     }
@@ -1222,7 +1197,7 @@ struct MergeState<'a> {
 }
 
 impl<'a> MergeState<'a> {
-    fn new(sink: &'a mut dyn ReportSink, window: SimDuration) -> Self {
+    fn new(sink: &'a mut dyn ReportSink) -> Self {
         MergeState {
             sink,
             next: 0,
@@ -1232,7 +1207,7 @@ impl<'a> MergeState<'a> {
             failed: 0,
             degraded: 0,
             metrics: MetricsSnapshot::new(),
-            timeline: Timeline::new(window),
+            timeline: Timeline::new(TIMELINE_WINDOW),
             tails: Vec::new(),
         }
     }
@@ -1403,7 +1378,6 @@ fn run_session(
     sampler: &TraceSampler,
     spec: &SessionSpec,
     config: &SystemConfig,
-    tl_window: SimDuration,
     scratch: SessionScratch,
     // Called with the live system just before teardown — replay uses it
     // to harvest the weathermap and route. The campus path passes None.
@@ -1527,7 +1501,7 @@ fn run_session(
     // only when the session was anomalous (tail-sampled sessions are
     // exactly the ones bundles reference).
     let flight_events = sys.flight.tail();
-    let mut recorder = TimelineRecorder::new(tl_window);
+    let mut recorder = TimelineRecorder::new(TIMELINE_WINDOW);
     recorder.record_events(&flight_events);
     recorder.record_session(end_at, observed, anomalous, failed);
     let timeline = recorder.finish();
@@ -1566,68 +1540,6 @@ fn run_session(
         },
         scratch,
     ))
-}
-
-// ---------- deprecated pre-builder API ----------
-
-/// Legacy configuration for [`run_campus`].
-#[deprecated(note = "use the Campus builder: Campus::new(students, seed).threads(n).run()")]
-#[derive(Debug, Clone)]
-pub struct CampusConfig {
-    /// Number of independent student sessions.
-    pub students: usize,
-    /// Worker threads; 1 runs the sessions inline on the caller's thread.
-    pub threads: usize,
-    /// Base seed; student `i` derives its own seed from `(base_seed, i)`.
-    pub base_seed: u64,
-    /// Fraction of students whose traces are head-sampled (0.0..=1.0).
-    pub trace_sample_rate: f64,
-    /// Sessions simulating longer than this are tail-sampled as slow.
-    pub slow_session: SimDuration,
-}
-
-#[allow(deprecated)]
-impl CampusConfig {
-    /// A campus with default telemetry: 5% head sampling, 30 s slow
-    /// threshold.
-    pub fn new(students: usize, threads: usize, base_seed: u64) -> Self {
-        CampusConfig {
-            students,
-            threads,
-            base_seed,
-            trace_sample_rate: 0.05,
-            slow_session: SimDuration::from_secs(30),
-        }
-    }
-
-    /// Override the head-sampling fraction.
-    pub fn with_trace_sample_rate(mut self, rate: f64) -> Self {
-        self.trace_sample_rate = rate;
-        self
-    }
-
-    /// Override the slow-session tail-sampling threshold.
-    pub fn with_slow_session(mut self, d: SimDuration) -> Self {
-        self.slow_session = d;
-        self
-    }
-}
-
-/// Legacy entry point: run the campus described by a [`CampusConfig`].
-/// Delegates to the [`Campus`] builder; behaviour (digest, metrics,
-/// traces, SLOs) is identical.
-#[deprecated(note = "use Campus::new(students, seed).threads(n).workload(w).run()")]
-#[allow(deprecated)]
-pub fn run_campus(
-    config: &CampusConfig,
-    workload: &CampusWorkload,
-) -> Result<CampusReport, SystemError> {
-    Campus::new(config.students, config.base_seed)
-        .threads(config.threads.max(1))
-        .trace_sample_rate(config.trace_sample_rate)
-        .slow_session(config.slow_session)
-        .workload(workload.clone())
-        .run()
 }
 
 #[cfg(test)]
@@ -1914,18 +1826,6 @@ mod tests {
             assert!(one.wall_percentile(p) >= 0.0, "p={p}");
             assert!(one.session_percentile(p) >= 0.0, "p={p}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_campus_shim_matches_builder() {
-        let w = tiny_workload(1, 2048);
-        let old = run_campus(&CampusConfig::new(4, 2, 9), &w).unwrap();
-        let new = campus(4, 2, 9, &w).run().unwrap();
-        assert_eq!(old.digest, new.digest);
-        assert_eq!(old.bytes, new.bytes);
-        assert_eq!(old.metrics.to_json(), new.metrics.to_json());
-        assert_eq!(old.traces_jsonl(), new.traces_jsonl());
     }
 
     #[test]

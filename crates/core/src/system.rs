@@ -15,8 +15,8 @@ use mits_atm::{
     ReliableChannel, ServiceClass, TransportEvent, VcId,
 };
 use mits_db::{
-    merge_doc_ids, merge_doc_lists, peek_req_id, peek_response_trace, read_snapshot, wal,
-    ClientAction, ClientEvent, DbClient, DbClientMetrics, DbError, DbServer, EdgeCache,
+    first_objects, merge_doc_ids, merge_doc_lists, peek_req_id, peek_response_trace, read_snapshot,
+    wal, ClientAction, ClientEvent, DbClient, DbClientMetrics, DbError, DbServer, EdgeCache,
     KeywordTree, RecoveryReport, Request, Response, RetryPolicy, Route, ServiceModel, ShardRouter,
     SharedLogDevice,
 };
@@ -304,12 +304,12 @@ pub struct MitsSystem {
     /// Scatter/gather queries issued (shards > 1 only).
     pub scatter_queries: u64,
     /// Scatter/gather queries that returned degraded (partial) results
-    /// because at least one shard was unreachable.
+    /// because at least one shard was unreachable (shards > 1 only).
     pub scatter_partial: u64,
     /// Scatter legs dispatched, per shard (shards > 1 only).
     pub scatter_legs: Vec<u64>,
     /// Scatter legs whose shard never answered (deadline backstop or
-    /// send failure), per shard.
+    /// send failure), per shard (shards > 1 only).
     pub scatter_leg_errors: Vec<u64>,
     crashes: CrashSchedule,
     crash_idx: usize,
@@ -637,11 +637,6 @@ impl MitsSystem {
         self.endpoints[client.0].active[0]
     }
 
-    /// Which server a client endpoint currently talks to for `shard`.
-    pub fn active_server_for_shard(&self, client: ClientId, shard: usize) -> usize {
-        self.endpoints[client.0].active[shard]
-    }
-
     /// How many shard groups partition the store.
     pub fn shards(&self) -> usize {
         self.router.shards()
@@ -655,11 +650,6 @@ impl MitsSystem {
     /// The shard owning a document root (or object) id.
     pub fn shard_of_object(&self, id: MhegId) -> usize {
         self.router.shard_for_object(id)
-    }
-
-    /// The shard owning a media id.
-    pub fn shard_of_media(&self, id: MediaId) -> usize {
-        self.router.shard_for_media(id)
     }
 
     /// The campus-edge cache, when one is configured.
@@ -1365,22 +1355,23 @@ impl MitsSystem {
 
     // ---------- blocking service calls ----------
 
-    /// Send a request from endpoint `index` and pump until its response
-    /// arrives (or `timeout` elapses). Returns the response and elapsed
-    /// virtual time. Single-key requests route by ring position;
-    /// scatter-routed requests are handled by the facades before they
-    /// reach here (shard 0 is the whole store when unsharded).
+    /// Send a single-key request from endpoint `index` to the shard its
+    /// key routes to and pump until its response arrives (or `timeout`
+    /// elapses). Returns the response and elapsed virtual time.
+    /// Scatter-routed requests go through [`MitsSystem::gather`].
     fn call(
         &mut self,
         index: usize,
         req: Request,
         timeout: SimDuration,
     ) -> Result<(Response, SimDuration), SystemError> {
-        let shard = match self.router.route(&req) {
-            Route::Shard(s) => s,
-            Route::Scatter => 0,
-        };
-        self.call_on_shard(index, req, shard, timeout)
+        match self.router.route(&req) {
+            Route::Shard(shard) => self.call_on_shard(index, req, shard, timeout),
+            Route::Scatter => Err(SystemError::Protocol(format!(
+                "{} must be scatter/gathered",
+                req.kind()
+            ))),
+        }
     }
 
     /// [`MitsSystem::call`] pinned to one shard group.
@@ -1426,7 +1417,8 @@ impl MitsSystem {
     /// leg answered by a down shard fails through the client's retry
     /// deadline (or, at worst, this call's `timeout`) — partial results
     /// degrade, they never hang. Returns one `Result` per shard, in
-    /// shard order, plus elapsed virtual time.
+    /// shard order, plus elapsed virtual time. On one shard this is a
+    /// single leg, and the scatter counters count only real fan-outs.
     fn call_scatter(
         &mut self,
         index: usize,
@@ -1435,7 +1427,10 @@ impl MitsSystem {
     ) -> Result<(Vec<Result<Response, DbError>>, SimDuration), SystemError> {
         let started = self.net.now();
         let shards = self.router.shards();
-        self.scatter_queries += 1;
+        let fan_out = shards > 1;
+        if fan_out {
+            self.scatter_queries += 1;
+        }
         let mut ids = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (req_id, frame) = self.endpoints[index]
@@ -1448,7 +1443,9 @@ impl MitsSystem {
             self.requests_sent += 1;
             let active = self.endpoints[index].active[shard];
             self.endpoints[index].chans[active].send_message(&mut self.net, &frame)?;
-            self.scatter_legs[shard] += 1;
+            if fan_out {
+                self.scatter_legs[shard] += 1;
+            }
             ids.push(req_id);
         }
         let deadline = started + timeout;
@@ -1486,15 +1483,44 @@ impl MitsSystem {
             self.pump_step(deadline)?;
         }
         let results: Vec<_> = results.into_iter().map(|r| r.expect("filled")).collect();
-        for (shard, r) in results.iter().enumerate() {
-            if r.is_err() {
-                self.scatter_leg_errors[shard] += 1;
+        if fan_out {
+            for (shard, r) in results.iter().enumerate() {
+                if r.is_err() {
+                    self.scatter_leg_errors[shard] += 1;
+                }
+            }
+            if results.iter().any(Result::is_err) && results.iter().any(Result::is_ok) {
+                self.scatter_partial += 1;
             }
         }
-        if results.iter().any(Result::is_err) && results.iter().any(Result::is_ok) {
-            self.scatter_partial += 1;
-        }
         Ok((results, self.net.now().since(started)))
+    }
+
+    /// Scatter `req` from `client` and decode every answering leg with
+    /// `extract`, in shard order. Unreachable shards degrade the answer
+    /// to the reachable shards' parts; an error surfaces only when no
+    /// shard answers. `NotFound` from a shard only means "not mine", so
+    /// it never masks a harder error such as an unreachable shard.
+    fn gather<T>(
+        &mut self,
+        client: ClientId,
+        req: &Request,
+        extract: fn(Response) -> Result<T, DbError>,
+    ) -> Result<(Vec<T>, SimDuration), SystemError> {
+        let (legs, t) = self.call_scatter(client.0, req, Self::default_timeout())?;
+        let mut parts = Vec::with_capacity(legs.len());
+        let mut err: Option<DbError> = None;
+        for leg in legs {
+            match leg {
+                Ok(resp) => parts.push(extract(resp)?),
+                Err(DbError::NotFound(_)) if err.is_some() => {}
+                Err(e) => err = Some(e),
+            }
+        }
+        match err {
+            Some(e) if parts.is_empty() => Err(SystemError::Db(e)),
+            _ => Ok((parts, t)),
+        }
     }
 
     /// Default call timeout: generous, scaled for narrowband links.
@@ -1540,11 +1566,6 @@ impl MitsSystem {
     /// server is loaded identically — the journals agree record for
     /// record, so nothing needs shipping.
     pub fn load_directly(&mut self, objects: Vec<MhegObject>, media: Vec<MediaObject>) {
-        self.load_shared(&objects, &media);
-    }
-
-    /// [`MitsSystem::load_directly`] over borrowed slices.
-    fn load_shared(&mut self, objects: &[MhegObject], media: &[MediaObject]) {
         for s in &self.servers {
             s.db.load_objects(objects.iter().cloned());
             s.db.load_media(media.iter().cloned());
@@ -1555,13 +1576,8 @@ impl MitsSystem {
     /// Load one document's closure and media respecting the ring: the
     /// closure lands on the root's shard (both roles, so journals agree
     /// without shipping), each medium on its own id's shard. On a single
-    /// shard every server loads everything, as with
-    /// [`MitsSystem::load_directly`].
+    /// shard that is every server, as with [`MitsSystem::load_directly`].
     pub fn load_doc(&mut self, objects: &[MhegObject], media: &[MediaObject], root: MhegId) {
-        if self.router.shards() <= 1 {
-            self.load_shared(objects, media);
-            return;
-        }
         let lo = self.router.shard_for_object(root) * self.group_size;
         for s in &self.servers[lo..lo + self.group_size] {
             s.db.load_objects(objects.iter().cloned());
@@ -1579,39 +1595,20 @@ impl MitsSystem {
 
     // ---------- the paper's query facade (§5.3.2) ----------
 
-    /// `Get_List_Doc()`: the catalogue of courseware documents. On a
-    /// sharded store the catalogue is scatter/gathered; unreachable
-    /// shards degrade the list to the reachable shards' entries.
+    /// `Get_List_Doc()`: the catalogue of courseware documents,
+    /// gathered from every shard; unreachable shards degrade the list to
+    /// the reachable shards' entries.
     pub fn get_list_doc(
         &mut self,
         client: ClientId,
     ) -> Result<(Vec<(MhegId, String)>, SimDuration), SystemError> {
-        if self.router.shards() > 1 {
-            let (parts, t) =
-                self.call_scatter(client.0, &Request::ListDocs, Self::default_timeout())?;
-            let mut lists = Vec::new();
-            let mut last_err = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => lists.push(resp.into_doc_list()?),
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if lists.is_empty() {
-                if let Some(e) = last_err {
-                    return Err(SystemError::Db(e));
-                }
-            }
-            return Ok((merge_doc_lists(lists), t));
-        }
-        let (resp, t) = self.call(client.0, Request::ListDocs, Self::default_timeout())?;
-        Ok((resp.into_doc_list()?, t))
+        let (lists, t) = self.gather(client, &Request::ListDocs, Response::into_doc_list)?;
+        Ok((merge_doc_lists(lists), t))
     }
 
     /// `Get_Selected_Doc(name)`: a document's full object closure by
-    /// title. A name alone does not reveal its root's shard, so on a
-    /// sharded store the lookup scatters and the first shard holding the
-    /// document wins.
+    /// title. A name alone does not reveal its root's shard, so the
+    /// lookup scatters and the first shard holding the document wins.
     pub fn get_selected_doc(
         &mut self,
         client: ClientId,
@@ -1620,113 +1617,46 @@ impl MitsSystem {
         let req = Request::GetDoc {
             name: name.to_string(),
         };
-        if self.router.shards() > 1 {
-            let (parts, t) = self.call_scatter(client.0, &req, Self::default_timeout())?;
-            let mut err: Option<DbError> = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => return Ok((resp.into_objects()?, t)),
-                    // NotFound from a shard just means "not mine"; a
-                    // harder error (unreachable shard) is only surfaced
-                    // when no shard has the document.
-                    Err(DbError::NotFound(e)) => {
-                        err.get_or_insert(DbError::NotFound(e));
-                    }
-                    Err(e) => err = Some(e),
-                }
-            }
-            return Err(SystemError::Db(
-                err.unwrap_or_else(|| DbError::NotFound(name.to_string())),
-            ));
+        let (docs, t) = self.gather(client, &req, Response::into_objects)?;
+        match first_objects(docs) {
+            Some(objects) => Ok((objects, t)),
+            None => Err(SystemError::Db(DbError::NotFound(name.to_string()))),
         }
-        let (resp, t) = self.call(client.0, req, Self::default_timeout())?;
-        Ok((resp.into_objects()?, t))
     }
 
     /// `GetKeywordTree()`: the keyword taxonomy for library browsing.
-    /// On a sharded store each shard holds its own documents' keyword
-    /// entries; the trees are scatter/gathered and merged, degrading to
-    /// the reachable shards' taxonomy when one is down.
+    /// Each shard holds its own documents' keyword entries; the trees
+    /// are gathered and merged, degrading to the reachable shards'
+    /// taxonomy when one is down.
     pub fn get_keyword_tree(
         &mut self,
         client: ClientId,
     ) -> Result<(KeywordTree, SimDuration), SystemError> {
-        if self.router.shards() > 1 {
-            let (parts, t) =
-                self.call_scatter(client.0, &Request::GetKeywordTree, Self::default_timeout())?;
-            let mut merged = KeywordTree::new();
-            let mut any_ok = false;
-            let mut last_err = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => {
-                        merged.merge_from(&resp.into_keyword_tree()?);
-                        any_ok = true;
-                    }
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if !any_ok {
-                if let Some(e) = last_err {
-                    return Err(SystemError::Db(e));
-                }
-            }
-            return Ok((merged, t));
+        let (trees, t) = self.gather(
+            client,
+            &Request::GetKeywordTree,
+            Response::into_keyword_tree,
+        )?;
+        let mut merged = KeywordTree::new();
+        for tree in &trees {
+            merged.merge_from(tree);
         }
-        let (resp, t) = self.call(client.0, Request::GetKeywordTree, Self::default_timeout())?;
-        Ok((resp.into_keyword_tree()?, t))
+        Ok((merged, t))
     }
 
     /// `GetDocByKeyword(keyword)`: documents under a keyword, including
-    /// its whole subtree.
+    /// its whole subtree, gathered from every shard.
     pub fn get_doc_by_keyword(
         &mut self,
         client: ClientId,
         keyword: &str,
     ) -> Result<(Vec<MhegId>, SimDuration), SystemError> {
-        self.keyword_query(client, keyword, true)
-    }
-
-    fn keyword_query(
-        &mut self,
-        client: ClientId,
-        keyword: &str,
-        subtree: bool,
-    ) -> Result<(Vec<MhegId>, SimDuration), SystemError> {
         let req = Request::QueryKeyword {
             keyword: keyword.to_string(),
-            subtree,
+            subtree: true,
         };
-        if self.router.shards() > 1 {
-            let (parts, t) = self.call_scatter(client.0, &req, Self::default_timeout())?;
-            let mut lists = Vec::new();
-            let mut last_err = None;
-            for r in parts {
-                match r {
-                    Ok(resp) => lists.push(resp.into_doc_ids()?),
-                    Err(e) => last_err = Some(e),
-                }
-            }
-            if lists.is_empty() {
-                if let Some(e) = last_err {
-                    return Err(SystemError::Db(e));
-                }
-            }
-            return Ok((merge_doc_ids(lists), t));
-        }
-        let (resp, t) = self.call(client.0, req, Self::default_timeout())?;
-        Ok((resp.into_doc_ids()?, t))
-    }
-
-    // ---------- deprecated pre-facade names ----------
-
-    /// `Get_List_Doc` from a client.
-    #[deprecated(note = "use get_list_doc (paper facade)")]
-    pub fn list_docs(
-        &mut self,
-        client: ClientId,
-    ) -> Result<(Vec<(MhegId, String)>, SimDuration), SystemError> {
-        self.get_list_doc(client)
+        let (lists, t) = self.gather(client, &req, Response::into_doc_ids)?;
+        Ok((merge_doc_ids(lists), t))
     }
 
     /// Fetch a courseware's full object closure from a client.
@@ -1743,16 +1673,6 @@ impl MitsSystem {
             (Response::Objects(objs), t) => Ok((objs, t)),
             _ => Err(SystemError::Protocol("expected Objects".into())),
         }
-    }
-
-    /// Fetch a document by name (`Get_Selected_Doc`).
-    #[deprecated(note = "use get_selected_doc (paper facade)")]
-    pub fn fetch_doc(
-        &mut self,
-        client: ClientId,
-        name: &str,
-    ) -> Result<(Vec<MhegObject>, SimDuration), SystemError> {
-        self.get_selected_doc(client, name)
     }
 
     /// Fetch bulk content, consulting the client cache, then the campus
@@ -1792,26 +1712,6 @@ impl MitsSystem {
             edge.fill(media, shard, epoch, &m);
         }
         Ok((m, t))
-    }
-
-    /// Keyword query from a client.
-    #[deprecated(note = "use get_doc_by_keyword (paper facade; subtree match)")]
-    pub fn query_keyword(
-        &mut self,
-        client: ClientId,
-        keyword: &str,
-        subtree: bool,
-    ) -> Result<(Vec<MhegId>, SimDuration), SystemError> {
-        self.keyword_query(client, keyword, subtree)
-    }
-
-    /// Fetch the keyword tree (library browsing).
-    #[deprecated(note = "use get_keyword_tree (paper facade)")]
-    pub fn fetch_keyword_tree(
-        &mut self,
-        client: ClientId,
-    ) -> Result<(KeywordTree, SimDuration), SystemError> {
-        self.get_keyword_tree(client)
     }
 
     /// Issue the same request from many clients *concurrently* and wait
@@ -1951,12 +1851,6 @@ mod tests {
         assert_eq!(ids, vec![root]);
         let (tree, _) = sys.get_keyword_tree(ClientId(0)).unwrap();
         assert_eq!(tree.lookup("telecom/atm"), vec![root]);
-        // The deprecated names still answer, via the facade.
-        #[allow(deprecated)]
-        let (ids, _) = sys
-            .query_keyword(ClientId(0), "telecom/atm", false)
-            .unwrap();
-        assert_eq!(ids, vec![root]);
     }
 
     #[test]

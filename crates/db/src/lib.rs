@@ -44,6 +44,6 @@ pub use server::{CheckpointStats, DbServer, RecoveryReport, ServiceModel};
 pub use snapshot::{read_snapshot, write_snapshot, SNAPSHOT_MAGIC};
 pub use store::{ContentStore, ObjectStore};
 pub use wal::{
-    crc32, decode_frame, encode_frame, read_frames, FileLogDevice, LogDevice, MemLogDevice,
-    ReplayReport, SharedLogDevice, Wal, WalRecord,
+    decode_frame, encode_frame, read_frames, FileLogDevice, LogDevice, MemLogDevice, ReplayReport,
+    SharedLogDevice, Wal, WalRecord,
 };

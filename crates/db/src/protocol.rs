@@ -230,15 +230,6 @@ impl Response {
             _ => Err(DbError::UnexpectedResponse("doc ids")),
         }
     }
-
-    /// Typed extraction: write acknowledgement.
-    pub fn into_ack(self) -> Result<(), DbError> {
-        match self {
-            Response::Ack => Ok(()),
-            Response::Err(e) => Err(e),
-            _ => Err(DbError::UnexpectedResponse("ack")),
-        }
-    }
 }
 
 /// Read the correlation id off a frame without decoding the body.

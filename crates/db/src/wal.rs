@@ -42,42 +42,10 @@ use crate::protocol::DbError;
 use bytes::{BufMut, Bytes, BytesMut};
 use mits_media::MediaObject;
 use mits_mheg::{decode_object, encode_object, MhegId, MhegObject, WireFormat};
+use mits_sim::crc32;
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::Arc;
-
-// ---------- CRC-32 (IEEE 802.3, reflected) ----------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 (IEEE) over `data` — the checksum guarding every WAL frame.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---------- log devices ----------
 
@@ -739,9 +707,32 @@ pub(crate) mod tests {
 
     #[test]
     fn crc32_known_vector() {
-        // The classic check value for CRC-32/IEEE.
+        // The frame CRC is CRC-32/IEEE: check value 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn frame_bytes_are_pinned() {
+        // One journal frame, byte for byte: any change to the record
+        // encoding or the frame checksum moves the on-device format.
+        let rec = WalRecord::BookmarkAdd {
+            student: 12,
+            id: 0,
+            document: MhegId::new(1, 1),
+            unit: Some(3),
+            note: "resume here".into(),
+        };
+        let frame = encode_frame(7, &rec.encode());
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            // len, crc32 over seq‖payload, seq, then the record.
+            "00000031b9aad694\
+             0000000000000007\
+             040000000c00000000000000010000000000000001\
+             01000000030000000b726573756d652068657265"
+        );
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   deterministic FIFO tie-breaking for simultaneous events.
 //! * [`Payload`] — a zero-copy shared byte buffer (`Arc<[u8]>` + range)
 //!   cloned by reference-count bump, used for every media payload.
+//! * [`crc32`] — the CRC-32 kernel shared by AAL5 and the database's
+//!   write-ahead log (slice-by-16, with PCLMULQDQ / aarch64 fast paths).
 //! * [`Simulation`] — an executor that owns a mutable world `W` and runs
 //!   closures-as-events against it.
 //! * [`rng`] — seedable, splittable random streams so that experiments are
@@ -58,6 +60,7 @@
 //! assert_eq!(end, SimTime::from_millis(9));
 //! ```
 
+pub mod crc;
 pub mod event;
 pub mod forensics;
 pub mod payload;
@@ -72,6 +75,7 @@ pub mod time;
 pub mod timeline;
 pub mod trace;
 
+pub use crc::crc32;
 pub use event::{EventQueue, Scheduler, Simulation};
 pub use forensics::{
     ChainLink, FaultWindow, FlightEvent, FlightKind, FlightRecorder, ForensicBundle, ForensicInput,

@@ -3,11 +3,12 @@
 //! queries that degrade to partial results instead of hanging, and a
 //! campus-edge cache whose entries are fenced by failover epochs.
 
+use mits::core::system::SystemError;
 use mits::core::{
     fault_storm_slos, sharded_workloads, Campus, CampusRollup, ClientId, FaultStorm, MitsSystem,
     ReportSink, SessionReport, SystemConfig,
 };
-use mits::db::RetryPolicy;
+use mits::db::{DbError, RetryPolicy};
 use mits::sim::{SimDuration, SimTime};
 
 const SHARDS: usize = 3;
@@ -287,4 +288,40 @@ fn single_shard_deployment_never_scatters() {
     assert_eq!(sys.shards(), 1);
     assert_eq!(sys.scatter_queries, 0, "no scatter on one shard");
     assert!(sys.edge_cache().is_none(), "no edge tier unless configured");
+}
+
+/// The paper's four queries answer the same on one shard as on three: a
+/// one-shard store is a scatter with a single leg, not a second path.
+#[test]
+fn query_facades_agree_on_one_and_three_shards() {
+    let mut catalogue = sharded_workloads(SHARDS, 1, 4096);
+    for (d, w) in catalogue.iter_mut().enumerate() {
+        let root = w.objects.iter_mut().find(|o| o.id == w.root).unwrap();
+        root.info.keywords = vec![format!("telecom/shard{d}"), "courseware".into()];
+    }
+    let answers = |shards: usize| {
+        let config = SystemConfig::broadband(1).with_shards(shards);
+        let mut sys = MitsSystem::build(&config).unwrap();
+        for w in &catalogue {
+            sys.load_doc(&w.objects, &w.media, w.root);
+        }
+        let c = ClientId(0);
+        let (list, _) = sys.get_list_doc(c).unwrap();
+        let (doc, _) = sys.get_selected_doc(c, "Course shard 1").unwrap();
+        let (tree, _) = sys.get_keyword_tree(c).unwrap();
+        let (telecom, _) = sys.get_doc_by_keyword(c, "telecom").unwrap();
+        let missing = sys.get_selected_doc(c, "No such course").unwrap_err();
+        assert!(
+            matches!(missing, SystemError::Db(DbError::NotFound(_))),
+            "{shards} shard(s): {missing:?}"
+        );
+        (list, doc, tree, telecom)
+    };
+    let one = answers(1);
+    assert_eq!(one, answers(SHARDS));
+    let (list, doc, tree, telecom) = one;
+    assert_eq!(list.len(), SHARDS);
+    assert!(doc.iter().any(|o| o.id == catalogue[1].root));
+    assert_eq!(tree.len(), 2 * SHARDS);
+    assert_eq!(telecom.len(), SHARDS);
 }
