@@ -997,11 +997,11 @@ impl ReportSink for BenchJsonSink {
         self.report.rollup(rollup);
         let speedup = self.serial.wall_secs / rollup.wall_secs.max(1e-9);
         let json = format!(
-            "{{\n  \"experiment\": \"campus\",\n  \"students\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"max_concurrent\": {},\n  \"peak_rss_mb\": {:.1},\n  \"base_seed\": 42,\n  \"clips_per_student\": {},\n  \"clip_bytes\": {},\n  \"digest\": \"0x{:016x}\",\n  \"digest_match_1_vs_n_threads\": {},\n  \"metrics_match_1_vs_n_threads\": {},\n  \"traces_sampled\": {},\n  \"slo_breaches\": {},\n  \"bytes_simulated\": {},\n  \"wall_secs_1_thread\": {:.4},\n  \"wall_secs_n_threads\": {:.4},\n  \"speedup_n_over_1\": {:.3},\n  \"students_per_sec\": {:.2},\n  \"bytes_per_sec\": {:.1},\n  \"session_ms_p50\": {:.3},\n  \"session_ms_p99\": {:.3},\n  \"shard_wall_ms_p50\": {:.3},\n  \"shard_wall_ms_p99\": {:.3},\n  \"fetch200k_kbps_seed\": {:.1},\n  \"fetch200k_kbps_now\": {:.1},\n  \"fetch200k_speedup\": {:.2}\n}}\n",
+            "{{\n  \"experiment\": \"campus\",\n  \"students\": {},\n  \"threads\": {},\n  \"host_cores\": {},\n  \"merge_backlog_max\": {},\n  \"peak_rss_mb\": {:.1},\n  \"base_seed\": 42,\n  \"clips_per_student\": {},\n  \"clip_bytes\": {},\n  \"digest\": \"0x{:016x}\",\n  \"digest_match_1_vs_n_threads\": {},\n  \"metrics_match_1_vs_n_threads\": {},\n  \"traces_sampled\": {},\n  \"slo_breaches\": {},\n  \"bytes_simulated\": {},\n  \"wall_secs_1_thread\": {:.4},\n  \"wall_secs_n_threads\": {:.4},\n  \"speedup_n_over_1\": {:.3},\n  \"students_per_sec\": {:.2},\n  \"bytes_per_sec\": {:.1},\n  \"session_ms_p50\": {:.3},\n  \"session_ms_p99\": {:.3},\n  \"shard_wall_ms_p50\": {:.3},\n  \"shard_wall_ms_p99\": {:.3},\n  \"fetch200k_kbps_seed\": {:.1},\n  \"fetch200k_kbps_now\": {:.1},\n  \"fetch200k_speedup\": {:.2}\n}}\n",
             rollup.students,
             rollup.threads,
             self.host_cores,
-            rollup.max_concurrent,
+            rollup.merge_backlog_max,
             peak_rss_mb(),
             self.clips,
             self.clip_bytes,
@@ -1031,7 +1031,7 @@ impl ReportSink for BenchJsonSink {
 fn campus() {
     header(
         "CAMPUS",
-        "memory-bounded campus: streaming session lifecycle over work-stealing shards",
+        "memory-bounded campus: streaming session lifecycle over in-order batches",
     );
     let cores = host_cores();
     let students = env_usize("MITS_CAMPUS_STUDENTS", 10_000);
@@ -1040,7 +1040,6 @@ fn campus() {
     let threads = env_usize("MITS_CAMPUS_THREADS", cores.max(2));
     let clips = env_usize("MITS_CAMPUS_CLIPS", 2);
     let clip_bytes = env_usize("MITS_CAMPUS_CLIP_BYTES", 64 * 1024);
-    let max_concurrent = env_usize("MITS_CAMPUS_MAX_CONCURRENT", 0);
     // Flight-recorder ring cap; 0 keeps the library default. The ring
     // never reaches the digest, so this is safe to vary per run.
     let flight_ring = env_usize("MITS_FLIGHT_RING", 0);
@@ -1056,7 +1055,6 @@ fn campus() {
     let workload = campus_workload(clips, clip_bytes);
     let serial = Campus::new(students, 42)
         .threads(1)
-        .max_concurrent(max_concurrent)
         .flight_ring(flight_ring)
         .workload(workload.clone())
         .run()
@@ -1072,7 +1070,6 @@ fn campus() {
     };
     Campus::new(students, 42)
         .threads(threads)
-        .max_concurrent(max_concurrent)
         .flight_ring(flight_ring)
         .workload(workload)
         .run_with(&mut sink)
@@ -1105,11 +1102,10 @@ fn campus() {
     }
     println!(
         "digest 0x{:016x} identical on 1 and {} threads; {speedup:.2}x on {} core(s); \
-         window {}; peak RSS {:.1} MB",
+         peak RSS {:.1} MB",
         parallel.digest,
         parallel.threads,
         cores,
-        parallel.max_concurrent,
         peak_rss_mb()
     );
     println!("wrote {out}");

@@ -7,36 +7,35 @@
 //! on one virtual clock; a campus run executes the population as a stream
 //! of short-lived sessions over a pool of worker threads.
 //!
-//! Three mechanisms keep live memory bounded by *concurrent* sessions,
-//! never by population:
+//! Two mechanisms keep live memory bounded by the worker count, never by
+//! population:
 //!
 //! * **Session lifecycle (`admit → run → retire`)** — a student exists as
 //!   a compact [`SessionSpec`] (index + derived seed) until a worker
-//!   admits it through the [`Campus::max_concurrent`] admission window,
-//!   builds its `MitsSystem` over a fork of its lesson's published
-//!   courseware image (each lesson is published once per run, by the
-//!   first session that opens it), runs the fetches, and retires it.
-//!   Retiring folds the session's digest, metrics snapshot and (if
+//!   admits it, builds its `MitsSystem` over a fork of its lesson's
+//!   published courseware image (each lesson is published once per run,
+//!   by the first session that opens it), runs the fetches, and retires
+//!   it. Retiring folds the session's digest, metrics snapshot and (if
 //!   sampled) trace into per-batch accumulators and frees the whole
-//!   per-student world.
-//! * **Work-stealing batch queue** — student indices are grouped into
-//!   contiguous batches; each worker starts with its own span of batches
-//!   and steals from the most-loaded peer when it runs dry, so a straggler
-//!   session delays only its own batch, not a statically-partitioned
-//!   slice of the population.
-//! * **Streaming merge** — completed batches flush through an in-order
-//!   frontier: batch *i* streams into the rollup (and into any
-//!   [`ReportSink`]) as soon as every batch before it has, then its
-//!   buffers are dropped. The out-of-order window is a handful of batches
-//!   (stragglers), never the population.
+//!   per-student world. Each worker runs one session at a time, so live
+//!   sessions never outnumber the workers ([`Campus::threads`]).
+//! * **In-order batches, streaming merge** — student indices are grouped
+//!   into contiguous batches, and workers claim batch indices from one
+//!   shared counter in increasing order. Completed batches flush through
+//!   an in-order frontier: batch *i* streams into the rollup (and into
+//!   any [`ReportSink`]) as soon as every batch before it has, then its
+//!   buffers are dropped. Because claims follow index order, a finished
+//!   batch waits only for earlier batches still in flight, so the
+//!   frontier holds a handful of batches whatever the population
+//!   ([`CampusRollup::merge_backlog_max`] records the peak).
 //!
 //! Determinism is the contract: student `i` always runs with the seed
 //! derived from `(base_seed, i)`, every merge walks strict index order,
 //! and nothing host-dependent reaches a digest — so the campus digest,
 //! merged metrics rollup, sampled-trace bundle and SLO verdicts are
-//! byte-identical whether the sessions ran on one thread or eight, under
-//! an admission window of 1 or of the whole population. Host wall-clock
-//! is reported for throughput numbers but never folded into a digest.
+//! byte-identical whether the sessions ran on one thread or eight. Host
+//! wall-clock and the frontier backlog are reported but never folded
+//! into a digest.
 //!
 //! Telemetry scales the same way it did before the redesign: every
 //! session freezes its [`MetricsRegistry`](mits_sim::MetricsRegistry)
@@ -59,9 +58,9 @@ use mits_sim::{
     SimDuration, SimTime, Slo, SloInput, SloReport, TailSignals, Timeline, TimelineRecorder,
     TraceSampler, FNV_OFFSET,
 };
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Histogram geometry for per-session simulated time, shared by every
@@ -110,7 +109,7 @@ pub fn host_cores() -> usize {
     1
 }
 
-/// Everything the campus knows about a student before admission: its
+/// Everything the campus knows about a student before it runs: its
 /// index and derived seed. A million students is a million of these —
 /// two words each — not a million simulated worlds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,15 +183,19 @@ pub struct SessionReport {
 }
 
 /// The campus-wide merge a run ends with: everything deterministic
-/// (digest, metrics, SLOs) plus the host wall totals.
+/// (digest, metrics, SLOs) plus the host-measured wall time and merge
+/// backlog.
 #[derive(Debug, Clone)]
 pub struct CampusRollup {
     /// Students simulated (== sessions retired).
     pub students: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Admission window the run was bounded by.
-    pub max_concurrent: usize,
+    /// Peak count of completed batches parked in the merge frontier,
+    /// waiting for an earlier batch still in flight. Depends on host
+    /// timing (0 on one thread), so like `wall_secs` it never reaches a
+    /// digest, the metrics or the timeline.
+    pub merge_backlog_max: usize,
     /// FNV fold over per-session digests in student-index order.
     pub digest: u64,
     /// Total bytes delivered across all sessions.
@@ -215,10 +218,10 @@ pub struct CampusRollup {
 
 /// A consumer of campus output, fed *while the campus runs* instead of
 /// from a buffered report. All callbacks arrive in deterministic
-/// student-index order regardless of thread count, work stealing or the
-/// admission window; `rollup` is called exactly once at the end of a
-/// successful run. [`CampusReport`] is one provided sink; `tables --exp
-/// campus` streams into its own JSON-writing sink.
+/// student-index order regardless of thread count or of which worker
+/// finished which batch first; `rollup` is called exactly once at the
+/// end of a successful run. [`CampusReport`] is one provided sink;
+/// `tables --exp campus` streams into its own JSON-writing sink.
 pub trait ReportSink: Send {
     /// A session retired. Called in student-index order.
     fn session(&mut self, _report: &SessionReport) {}
@@ -238,8 +241,6 @@ pub struct CampusReport {
     pub students: usize,
     /// Worker threads used.
     pub threads: usize,
-    /// Admission window the run was bounded by.
-    pub max_concurrent: usize,
     /// FNV fold over per-session digests in student-index order.
     pub digest: u64,
     /// Total bytes delivered across all sessions.
@@ -280,7 +281,6 @@ impl CampusReport {
         CampusReport {
             students: 0,
             threads: 0,
-            max_concurrent: 0,
             digest: 0,
             bytes: 0,
             sessions_failed: 0,
@@ -366,7 +366,6 @@ impl ReportSink for CampusReport {
     fn rollup(&mut self, rollup: &CampusRollup) {
         self.students = rollup.students;
         self.threads = rollup.threads;
-        self.max_concurrent = rollup.max_concurrent;
         self.digest = rollup.digest;
         self.bytes = rollup.bytes;
         self.sessions_failed = rollup.sessions_failed;
@@ -636,7 +635,6 @@ type SessionConfigFn = dyn Fn(&SessionSpec, SystemConfig) -> SystemConfig + Send
 /// # fn demo(workload: CampusWorkload) -> Result<(), mits_core::system::SystemError> {
 /// let report = Campus::new(10_000, 42)
 ///     .threads(8)
-///     .max_concurrent(64)
 ///     .workload(workload)
 ///     .run()?;
 /// assert_eq!(report.students, 10_000);
@@ -644,16 +642,13 @@ type SessionConfigFn = dyn Fn(&SessionSpec, SystemConfig) -> SystemConfig + Send
 /// # }
 /// ```
 ///
-/// `threads(0)` (the default) sizes the pool to [`host_cores`];
-/// `max_concurrent(0)` (the default) admits as many sessions as there
-/// are workers. Lowering `max_concurrent` below the worker count bounds
-/// live memory harder at the cost of idle workers; results never change.
+/// `threads(0)` (the default) sizes the pool to [`host_cores`]. Each
+/// worker runs one session at a time, so the thread count is also the
+/// bound on live sessions; results never depend on it.
 pub struct Campus {
     students: usize,
     base_seed: u64,
     threads: usize,
-    max_concurrent: usize,
-    batch: usize,
     trace_sample_rate: f64,
     workloads: Vec<CampusWorkload>,
     slos: Option<Vec<Slo>>,
@@ -670,8 +665,6 @@ impl Campus {
             students,
             base_seed,
             threads: 0,
-            max_concurrent: 0,
-            batch: 0,
             trace_sample_rate: 0.05,
             workloads: Vec::new(),
             slos: None,
@@ -685,22 +678,6 @@ impl Campus {
     /// caller's thread.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n;
-        self
-    }
-
-    /// Admission window: at most this many sessions live at once,
-    /// bounding memory by concurrency instead of population. 0 = one
-    /// per worker, capped at [`host_cores`].
-    pub fn max_concurrent(mut self, k: usize) -> Self {
-        self.max_concurrent = k;
-        self
-    }
-
-    /// Students per work-stealing batch; 0 = auto-sized from the
-    /// population and worker count. Batch size is independent of the
-    /// thread count, so it never reaches the digest.
-    pub fn batch(mut self, n: usize) -> Self {
-        self.batch = n;
         self
     }
 
@@ -792,37 +769,32 @@ impl Campus {
         } else {
             self.threads
         };
-        let batch = if self.batch == 0 {
-            (students / (threads.max(1) * 4)).clamp(1, 64)
-        } else {
-            self.batch.max(1)
-        };
+        // Batch size follows the population and worker count; the
+        // merge folds sessions one by one in index order, so it never
+        // reaches a result.
+        let batch = (students / (threads.max(1) * 4)).clamp(1, 64);
         let n_batches = students.div_ceil(batch);
         let workers = threads.max(1).min(n_batches.max(1));
-        let max_concurrent = if self.max_concurrent == 0 {
-            // One live session per worker, capped at the physical core
-            // count: admitting more concurrent sessions than cores can
-            // run only grows live memory and thrashes the cache. Only
-            // throughput depends on this; results never do.
-            workers.min(host_cores()).max(1)
-        } else {
-            self.max_concurrent
-        };
         let sampler = TraceSampler::new(self.base_seed, self.trace_sample_rate)
             .with_latency_threshold(SLOW_SESSION);
         let start = Instant::now();
 
         let images = Images::new(&self.workloads);
-        let queue = BatchQueue::new(n_batches, workers);
-        let window = AdmissionWindow::new(max_concurrent);
+        // Batches are claimed in index order, so the merge frontier only
+        // ever parks batches finished while an earlier one still runs. A
+        // fatal error moves the counter past the end to stop every worker.
+        // Relaxed is enough: the counter publishes no data — batches
+        // reach the merge through its mutex, and the scope join orders
+        // every worker's writes before the rollup.
+        let next_batch = AtomicUsize::new(0);
         let merge = Mutex::new(MergeState::new(sink));
         let fatal: Mutex<Option<SystemError>> = Mutex::new(None);
-        let abort = AtomicBool::new(false);
 
-        let work = |worker: usize| {
+        let work = || {
             let mut scratch = SessionScratch::default();
-            while let Some(b) = queue.claim(worker) {
-                if abort.load(Ordering::Relaxed) {
+            loop {
+                let b = next_batch.fetch_add(1, Ordering::Relaxed);
+                if b >= n_batches {
                     return;
                 }
                 let lo = b * batch;
@@ -840,10 +812,10 @@ impl Campus {
                         Some(f) => f(&spec, base),
                         None => base,
                     };
-                    // admit: wait for an admission slot, then build the
-                    // session's world (reusing this worker's scratch) over
-                    // a fork of its lesson's published image.
-                    window.admit();
+                    // admit: build the session's world (reusing this
+                    // worker's scratch) over a fork of its lesson's
+                    // published image, run it, and retire it — its
+                    // allocations harvested back into `scratch`.
                     let workload = student % self.workloads.len();
                     let ran = images.get(workload, &config).and_then(|image| {
                         let lesson = Lesson {
@@ -859,17 +831,13 @@ impl Campus {
                             None,
                         )
                     });
-                    // retire: the session's world is already torn down
-                    // (its allocations harvested into `scratch`); free
-                    // the admission slot and fold the outcome.
-                    window.retire();
                     match ran {
                         Ok((outcome, recycled)) => {
                             scratch = recycled;
                             out.push(outcome);
                         }
                         Err(e) => {
-                            abort.store(true, Ordering::Relaxed);
+                            next_batch.store(n_batches, Ordering::Relaxed);
                             let mut f = fatal.lock().expect("campus fatal");
                             if f.is_none() {
                                 *f = Some(e);
@@ -883,12 +851,12 @@ impl Campus {
         };
 
         if workers <= 1 {
-            work(0);
+            work();
         } else {
             let work = &work;
             crossbeam::thread::scope(|scope| {
-                for w in 0..workers {
-                    scope.spawn(move |_| work(w));
+                for _ in 0..workers {
+                    scope.spawn(move |_| work());
                 }
             })
             .map_err(|_| SystemError::Protocol("campus worker panicked".into()))?;
@@ -935,7 +903,7 @@ impl Campus {
         let rollup = CampusRollup {
             students,
             threads: workers,
-            max_concurrent,
+            merge_backlog_max: merged.backlog_max,
             digest: merged.digest,
             bytes: merged.bytes,
             sessions_failed: merged.failed,
@@ -1187,6 +1155,8 @@ struct MergeState<'a> {
     sink: &'a mut dyn ReportSink,
     next: usize,
     parked: BTreeMap<usize, BatchOut>,
+    /// Peak `parked.len()` after a flush (host-dependent, reported only).
+    backlog_max: usize,
     digest: u64,
     bytes: u64,
     failed: u64,
@@ -1202,6 +1172,7 @@ impl<'a> MergeState<'a> {
             sink,
             next: 0,
             parked: BTreeMap::new(),
+            backlog_max: 0,
             digest: FNV_OFFSET,
             bytes: 0,
             failed: 0,
@@ -1236,84 +1207,7 @@ impl<'a> MergeState<'a> {
             }
             self.next += 1;
         }
-    }
-}
-
-/// Per-worker queues of batch indices with stealing: a worker drains its
-/// own span front-to-back (keeping the flush frontier moving) and steals
-/// from the *back* of the most-loaded peer when dry, so a straggling
-/// session delays one batch instead of serializing the pool.
-struct BatchQueue {
-    queues: Vec<Mutex<VecDeque<usize>>>,
-}
-
-impl BatchQueue {
-    fn new(batches: usize, workers: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let per = batches / workers;
-        let extra = batches % workers;
-        let mut b = 0;
-        for (w, q) in queues.iter_mut().enumerate() {
-            let n = per + usize::from(w < extra);
-            for _ in 0..n {
-                q.push_back(b);
-                b += 1;
-            }
-        }
-        BatchQueue {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    fn claim(&self, me: usize) -> Option<usize> {
-        if let Some(b) = self.queues[me].lock().expect("batch queue").pop_front() {
-            return Some(b);
-        }
-        loop {
-            let mut victim: Option<(usize, usize)> = None; // (len, index)
-            for (i, q) in self.queues.iter().enumerate() {
-                if i == me {
-                    continue;
-                }
-                let len = q.lock().expect("batch queue").len();
-                if len > 0 && victim.is_none_or(|(best, _)| len > best) {
-                    victim = Some((len, i));
-                }
-            }
-            let (_, v) = victim?;
-            if let Some(b) = self.queues[v].lock().expect("batch queue").pop_back() {
-                return Some(b);
-            }
-            // Raced with the victim draining its own queue; rescan.
-        }
-    }
-}
-
-/// Counting semaphore bounding live sessions (the admission window).
-struct AdmissionWindow {
-    permits: Mutex<usize>,
-    freed: Condvar,
-}
-
-impl AdmissionWindow {
-    fn new(k: usize) -> Self {
-        AdmissionWindow {
-            permits: Mutex::new(k.max(1)),
-            freed: Condvar::new(),
-        }
-    }
-
-    fn admit(&self) {
-        let mut p = self.permits.lock().expect("admission window");
-        while *p == 0 {
-            p = self.freed.wait(p).expect("admission window");
-        }
-        *p -= 1;
-    }
-
-    fn retire(&self) {
-        *self.permits.lock().expect("admission window") += 1;
-        self.freed.notify_one();
+        self.backlog_max = self.backlog_max.max(self.parked.len());
     }
 }
 
@@ -1754,22 +1648,24 @@ mod tests {
             rollups: 0,
             rollup_bytes: 0,
         };
-        campus(9, 4, 7, &w).batch(2).run_with(&mut sink).unwrap();
+        campus(9, 4, 7, &w).run_with(&mut sink).unwrap();
         assert_eq!(sink.students, (0..9).collect::<Vec<_>>());
         assert_eq!(sink.rollups, 1);
         assert_eq!(sink.bytes, sink.rollup_bytes, "streamed == merged");
     }
 
     #[test]
-    fn admission_window_edges_do_not_change_results() {
+    fn worker_count_edges_do_not_change_results() {
+        // One worker runs one session at a time; eight workers on eight
+        // students put every batch in flight at once.
         let w = tiny_workload(1, 2048);
         let base = campus(8, 4, 11, &w).run().unwrap();
         for k in [1, 8] {
-            let bounded = campus(8, 4, 11, &w).max_concurrent(k).run().unwrap();
-            assert_eq!(bounded.max_concurrent, k);
-            assert_eq!(base.digest, bounded.digest, "max_concurrent={k}");
-            assert_eq!(base.metrics.to_json(), bounded.metrics.to_json());
-            assert_eq!(base.traces_jsonl(), bounded.traces_jsonl());
+            let other = campus(8, k, 11, &w).run().unwrap();
+            assert_eq!(other.threads, k);
+            assert_eq!(base.digest, other.digest, "threads={k}");
+            assert_eq!(base.metrics.to_json(), other.metrics.to_json());
+            assert_eq!(base.traces_jsonl(), other.traces_jsonl());
         }
     }
 

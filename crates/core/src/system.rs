@@ -303,13 +303,14 @@ pub struct MitsSystem {
     edge: Option<EdgeCache>,
     /// Scatter/gather queries issued (shards > 1 only).
     pub scatter_queries: u64,
-    /// Scatter/gather queries that returned degraded (partial) results
-    /// because at least one shard was unreachable (shards > 1 only).
+    /// Scatter/gather queries that returned degraded (partial) results:
+    /// at least one leg failed while another answered (shards > 1 only).
     pub scatter_partial: u64,
     /// Scatter legs dispatched, per shard (shards > 1 only).
     pub scatter_legs: Vec<u64>,
-    /// Scatter legs whose shard never answered (deadline backstop or
-    /// send failure), per shard (shards > 1 only).
+    /// Scatter legs that failed — the shard never answered (deadline
+    /// backstop or send failure) or answered with an error other than
+    /// `NotFound` ("not mine") — per shard (shards > 1 only).
     pub scatter_leg_errors: Vec<u64>,
     crashes: CrashSchedule,
     crash_idx: usize,
@@ -1291,8 +1292,21 @@ impl MitsSystem {
     /// cheap `Unavailable` that bypasses the service queue. Every
     /// response is stamped with the server's failover epoch.
     fn serve(&mut self, server: usize, peer: usize, frame: &Bytes) -> Result<(), SystemError> {
-        let env = Request::decode_shared(frame)?;
         let now = self.net.now();
+        let env = match Request::decode_shared(frame) {
+            Ok(env) => env,
+            Err(malformed) => {
+                // A request that does not decode fails only itself: it is
+                // answered under its id when the header is readable, else
+                // dropped, and the server keeps serving either way.
+                if let Some(req_id) = peek_req_id(frame) {
+                    let node = &mut self.servers[server];
+                    let resp = Response::Err(malformed).encode_with_epoch(req_id, node.db.epoch());
+                    node.ready[peer].push_back((now, resp));
+                }
+                return Ok(());
+            }
+        };
         let kind = env.body.kind();
         let node = &mut self.servers[server];
         let depth = node
@@ -1384,13 +1398,7 @@ impl MitsSystem {
     ) -> Result<(Response, SimDuration), SystemError> {
         let started = self.net.now();
         let (req_id, frame) = self.endpoints[index].db_client.request_at(req, started);
-        self.endpoints[index]
-            .db_client
-            .set_request_domain(req_id, shard as u64);
-        self.endpoints[index].req_shard.insert(req_id, shard);
-        self.requests_sent += 1;
-        let active = self.endpoints[index].active[shard];
-        self.endpoints[index].chans[active].send_message(&mut self.net, &frame)?;
+        self.send_on_shard(index, shard, req_id, &frame)?;
         let deadline = started + timeout;
         loop {
             // Check inbox.
@@ -1411,6 +1419,23 @@ impl MitsSystem {
             }
             self.pump_step(deadline)?;
         }
+    }
+
+    /// Transmit a tracked request's `frame` from endpoint `index` to the
+    /// server it currently uses in `shard`'s group.
+    fn send_on_shard(
+        &mut self,
+        index: usize,
+        shard: usize,
+        req_id: u64,
+        frame: &Bytes,
+    ) -> Result<(), SystemError> {
+        let e = &mut self.endpoints[index];
+        e.db_client.set_request_domain(req_id, shard as u64);
+        e.req_shard.insert(req_id, shard);
+        self.requests_sent += 1;
+        e.chans[e.active[shard]].send_message(&mut self.net, frame)?;
+        Ok(())
     }
 
     /// Issue `req` to every shard concurrently and gather all legs. A
@@ -1436,13 +1461,7 @@ impl MitsSystem {
             let (req_id, frame) = self.endpoints[index]
                 .db_client
                 .request_at(req.clone(), started);
-            self.endpoints[index]
-                .db_client
-                .set_request_domain(req_id, shard as u64);
-            self.endpoints[index].req_shard.insert(req_id, shard);
-            self.requests_sent += 1;
-            let active = self.endpoints[index].active[shard];
-            self.endpoints[index].chans[active].send_message(&mut self.net, &frame)?;
+            self.send_on_shard(index, shard, req_id, &frame)?;
             if fan_out {
                 self.scatter_legs[shard] += 1;
             }
@@ -1484,12 +1503,18 @@ impl MitsSystem {
         }
         let results: Vec<_> = results.into_iter().map(|r| r.expect("filled")).collect();
         if fan_out {
+            // A shard's `NotFound` only means "not mine": that leg was
+            // answered, so it is neither a leg error nor a degradation.
+            let failed = |r: &Result<Response, DbError>| {
+                r.as_ref()
+                    .is_err_and(|e| !matches!(e, DbError::NotFound(_)))
+            };
             for (shard, r) in results.iter().enumerate() {
-                if r.is_err() {
+                if failed(r) {
                     self.scatter_leg_errors[shard] += 1;
                 }
             }
-            if results.iter().any(Result::is_err) && results.iter().any(Result::is_ok) {
+            if results.iter().any(failed) && !results.iter().all(failed) {
                 self.scatter_partial += 1;
             }
         }
@@ -1798,6 +1823,68 @@ mod tests {
         });
         let compiled = compile_imd(50, &doc);
         (compiled.objects, vec![clip], compiled.root)
+    }
+
+    /// A malformed request fails only itself. The author's tool sends a
+    /// `PutObject` whose object nests 200k deep: the server answers
+    /// `Malformed` under the request's id, drops a frame too short to
+    /// carry one, stores nothing, and then serves a student exactly as
+    /// a calm twin does.
+    #[test]
+    fn malformed_request_fails_alone_and_the_server_keeps_serving() {
+        let (objects, media, root) = tiny_course();
+        let published = || {
+            let mut sys = MitsSystem::build(&SystemConfig::broadband(1)).unwrap();
+            sys.publish(&objects, &media).unwrap();
+            sys
+        };
+        let mut calm = published();
+        let mut sys = published();
+
+        let author = sys.author_index();
+        let started = sys.now();
+        let (req_id, frame) = sys.endpoints[author].db_client.request_at(
+            Request::PutObject {
+                object: objects[0].clone(),
+            },
+            started,
+        );
+        let mut tlv = b"MHG1".to_vec();
+        for _ in 0..200_000 {
+            tlv.extend_from_slice(&[0x01, 1, b'x', 0, 1]);
+        }
+        let mut hostile = frame[..16].to_vec(); // req_id + trace
+        hostile.push(8); // PutObject
+        hostile.extend_from_slice(&(tlv.len() as u32).to_be_bytes());
+        hostile.extend_from_slice(&tlv);
+        sys.send_on_shard(author, 0, req_id, &Bytes::from(hostile))
+            .unwrap();
+        let stub = Bytes::from_static(&[8, 0, 0]);
+        let active = sys.endpoints[author].active[0];
+        sys.endpoints[author].chans[active]
+            .send_message(&mut sys.net, &stub)
+            .unwrap();
+        sys.pump_until(started + SimDuration::from_secs(1)).unwrap();
+        calm.pump_until(started + SimDuration::from_secs(1))
+            .unwrap();
+        assert!(
+            matches!(
+                &sys.endpoints[author].inbox[..],
+                [(id, Response::Err(DbError::Malformed(_)))] if *id == req_id
+            ),
+            "one Malformed reply under the request's id, none for the stub"
+        );
+
+        assert_eq!(sys.db().state_digest(), calm.db().state_digest());
+        let fetched = sys.fetch_courseware(ClientId(0), root).unwrap();
+        assert_eq!(fetched, calm.fetch_courseware(ClientId(0), root).unwrap());
+        let (clip, t) = sys.fetch_content(ClientId(0), media[0].id).unwrap();
+        let (calm_clip, calm_t) = calm.fetch_content(ClientId(0), media[0].id).unwrap();
+        assert_eq!((clip.data, t), (calm_clip.data, calm_t));
+        assert_eq!(
+            sys.bytes_to_client(ClientId(0)),
+            calm.bytes_to_client(ClientId(0))
+        );
     }
 
     #[test]

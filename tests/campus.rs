@@ -1,15 +1,16 @@
 //! Campus lifecycle integration tests: the determinism contract of the
-//! memory-bounded runner under work stealing, admission-window edges,
-//! and retire-under-fault.
+//! memory-bounded runner across thread counts, its bounded merge
+//! frontier, and retire-under-fault.
 //!
 //! The campus digest is the repo's best regression tripwire — it folds
 //! every session's observables in student-index order, so any
-//! scheduling leak (worker identity, steal order, admission timing)
-//! shows up as a digest mismatch between thread counts.
+//! scheduling leak (worker identity, completion order) shows up as a
+//! digest mismatch between thread counts.
 
 use bytes::Bytes;
 use mits::core::{
-    Campus, CampusWorkload, ClientId, MitsSystem, ReportSink, SessionReport, SystemConfig,
+    Campus, CampusRollup, CampusWorkload, ClientId, MitsSystem, ReportSink, SessionReport,
+    SystemConfig,
 };
 use mits::db::RetryPolicy;
 use mits::media::{MediaFormat, MediaId, MediaObject, VideoDims};
@@ -42,13 +43,11 @@ fn workload(clips: usize, clip_bytes: usize) -> CampusWorkload {
     }
 }
 
-/// Admit-order determinism at 1k students: the digest, merged metrics
-/// and sampled-trace bundle must be byte-identical on 1, 2 and 8
-/// threads (work stealing may run batches in any order; the frontier
-/// merge must hide it), and identical again under an admission window
-/// of 1 and of the whole population.
+/// Determinism at 1k students: the digest, merged metrics and
+/// sampled-trace bundle must be byte-identical on 1, 2 and 8 threads
+/// (batches finish in any order; the frontier merge must hide it).
 #[test]
-fn thousand_students_are_deterministic_under_stealing_and_windows() {
+fn thousand_students_are_deterministic_across_thread_counts() {
     let students = 1000;
     let w = workload(1, 2048);
     let base = Campus::new(students, 42)
@@ -62,30 +61,67 @@ fn thousand_students_are_deterministic_under_stealing_and_windows() {
         Some(students as u64)
     );
 
-    let variants: [(usize, usize); 3] = [(2, 0), (8, 1), (8, students)];
-    for (threads, window) in variants {
+    for threads in [2, 8] {
         let r = Campus::new(students, 42)
             .threads(threads)
-            .max_concurrent(window)
             .workload(w.clone())
             .run()
             .unwrap();
-        assert_eq!(
-            base.digest, r.digest,
-            "digest drifted at threads={threads} window={window}"
-        );
+        assert_eq!(base.digest, r.digest, "digest drifted at threads={threads}");
         assert_eq!(base.bytes, r.bytes);
         assert_eq!(
             base.metrics.to_json(),
             r.metrics.to_json(),
-            "metrics drifted at threads={threads} window={window}"
+            "metrics drifted at threads={threads}"
         );
         assert_eq!(
             base.traces_jsonl(),
             r.traces_jsonl(),
-            "traces drifted at threads={threads} window={window}"
+            "traces drifted at threads={threads}"
         );
     }
+}
+
+/// Keeps the rollup a campus run ends with.
+#[derive(Default)]
+struct RollupSink(Option<CampusRollup>);
+
+impl ReportSink for RollupSink {
+    fn rollup(&mut self, rollup: &CampusRollup) {
+        self.0 = Some(rollup.clone());
+    }
+}
+
+/// Workers claim batches in index order, so the merge frontier parks
+/// only batches finished while an earlier one is still running — not a
+/// worker's whole span. On 4 threads the peak stays under half the
+/// run's batches, and the results equal the 1-thread run's.
+#[test]
+fn merge_frontier_stays_small_on_four_threads() {
+    let students: usize = 2000;
+    let threads = 4;
+    // The auto batch size: a quarter of a worker's share, at most 64.
+    let batches = students.div_ceil((students / (threads * 4)).clamp(1, 64));
+    let run = |threads: usize| {
+        let mut sink = RollupSink::default();
+        Campus::new(students, 42)
+            .threads(threads)
+            .workload(workload(1, 2048))
+            .run_with(&mut sink)
+            .unwrap();
+        sink.0.expect("a completed run rolls up")
+    };
+    let serial = run(1);
+    assert_eq!(serial.merge_backlog_max, 0, "one worker never parks");
+    let wide = run(threads);
+    assert_eq!(wide.threads, threads);
+    assert!(
+        wide.merge_backlog_max <= batches / 2,
+        "{} of {batches} batches parked at peak",
+        wide.merge_backlog_max
+    );
+    assert_eq!(serial.digest, wide.digest);
+    assert_eq!(serial.metrics.to_json(), wide.metrics.to_json());
 }
 
 /// A session that dies mid-run (its database server crashes and never
@@ -197,33 +233,27 @@ fn catalogue(lessons: usize) -> Vec<CampusWorkload> {
 /// first time a student opens the lesson. Which worker builds an image,
 /// and when, must not reach any result: with students both fewer and
 /// more than lessons, the digest and merged metrics are identical on 1
-/// and 2 threads under an admission window of 1 and of the population.
+/// and 2 threads.
 #[test]
 fn published_images_are_schedule_invariant_on_a_catalogue() {
     let lessons = catalogue(12);
     for students in [5, 40] {
-        let run = |threads: usize, window: usize| {
+        let run = |threads: usize| {
             Campus::new(students, 2026)
                 .threads(threads)
-                .max_concurrent(window)
                 .workloads(lessons.clone())
                 .run()
                 .unwrap()
         };
-        let base = run(1, 1);
+        let base = run(1);
         assert_eq!(base.sessions_failed, 0);
         assert_eq!(
             base.metrics.counter("campus.sessions"),
             Some(students as u64)
         );
-        for (threads, window) in [(1, students), (2, 1), (2, students)] {
-            let r = run(threads, window);
-            assert_eq!(
-                base.digest, r.digest,
-                "{students} students, threads={threads} window={window}"
-            );
-            assert_eq!(base.metrics.to_json(), r.metrics.to_json());
-        }
+        let r = run(2);
+        assert_eq!(base.digest, r.digest, "{students} students, threads=2");
+        assert_eq!(base.metrics.to_json(), r.metrics.to_json());
     }
 }
 

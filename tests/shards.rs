@@ -315,6 +315,10 @@ fn query_facades_agree_on_one_and_three_shards() {
             matches!(missing, SystemError::Db(DbError::NotFound(_))),
             "{shards} shard(s): {missing:?}"
         );
+        // A shard's "not mine" is an answer: no leg failed, no query
+        // degraded.
+        assert_eq!(sys.scatter_partial, 0, "{shards} shard(s)");
+        assert_eq!(sys.scatter_leg_errors, vec![0; shards]);
         (list, doc, tree, telecom)
     };
     let one = answers(1);
